@@ -6,16 +6,16 @@
  * all banks, in two row patterns:
  *
  *   hits    - consecutive same-bank requests share rows, so service is
- *             row-hit dominated (the per-bank index serves from its
- *             row-hit head);
+ *             row-hit dominated (the window scan usually stops at an
+ *             early ready row hit);
  *   misses  - every request opens a new row, the worst case for
- *             candidate selection (every bank contributes only its
- *             oldest request).
+ *             candidate selection (the scan walks the whole window
+ *             looking for a row hit that never comes).
  *
- * The round-robin spread across all 64 banks is deliberately the queue
- * index's adversarial shape (bank count >= scan window), exercising the
- * hybrid dispatch's linear path; the DAPPER attack benches cover the
- * concentrated shapes where the per-bank index path wins.
+ * The round-robin spread across all 64 banks fills the 48-entry scan
+ * window once the queue is that deep, so this is the one end-to-end
+ * shape that exercises a full-window FR-FCFS walk; the DAPPER attack
+ * benches keep queues shallow.
  *
  * The printed stats are engine-invariant: --engine event advances the
  * controller by its nextWorkAt() watermark, --engine tick visits every

@@ -1,7 +1,6 @@
 #include "src/mem/controller.hh"
 
 #include <algorithm>
-#include <cassert>
 
 #include "src/common/check.hh"
 
@@ -21,152 +20,6 @@ LatencyReservoir::percentile(double p) const
                      sorted.begin() + static_cast<std::ptrdiff_t>(idx),
                      sorted.end());
     return sorted[idx];
-}
-
-// ---------------------------------------------------------------------
-// BankQueueIndex: intrusive per-bank FIFO lists + scan memo.
-// ---------------------------------------------------------------------
-
-std::int32_t
-MemController::BankQueueIndex::alloc(std::int64_t seq, std::int32_t row)
-{
-    std::int32_t n;
-    if (freeHead_ != kNone) {
-        n = freeHead_;
-        freeHead_ = pool_[static_cast<std::size_t>(n)].next;
-    } else {
-        n = static_cast<std::int32_t>(pool_.size());
-        pool_.emplace_back();
-    }
-    pool_[static_cast<std::size_t>(n)] = Node{seq, row, kNone};
-    return n;
-}
-
-void
-MemController::BankQueueIndex::pushBack(int b, std::int64_t seq,
-                                        std::int32_t row)
-{
-    PerBank &pb = banks_[static_cast<std::size_t>(b)];
-    const std::int32_t n = alloc(seq, row);
-    if (pb.tail == kNone) {
-        pb.head = pb.tail = n;
-        activate(b);
-    } else {
-        pool_[static_cast<std::size_t>(pb.tail)].next = n;
-        pb.tail = n;
-    }
-    ++pb.count;
-    // A tail append cannot displace an already-known first hit / first
-    // miss; it only bounds a completeness claim that covered the tail.
-    if (pb.scanValid && (pb.hitNode == kNone || pb.missNode == kNone))
-        pb.scanWindowSeq = std::min(pb.scanWindowSeq, seq - 1);
-}
-
-void
-MemController::BankQueueIndex::pushFront(int b, std::int64_t seq,
-                                         std::int32_t row)
-{
-    PerBank &pb = banks_[static_cast<std::size_t>(b)];
-    const std::int32_t n = alloc(seq, row);
-    pool_[static_cast<std::size_t>(n)].next = pb.head;
-    pb.head = n;
-    if (pb.tail == kNone) {
-        pb.tail = n;
-        activate(b);
-    }
-    ++pb.count;
-    pb.scanValid = false;
-}
-
-void
-MemController::BankQueueIndex::remove(int b, std::int32_t n,
-                                      std::int32_t prev)
-{
-    PerBank &pb = banks_[static_cast<std::size_t>(b)];
-    Node &nd = pool_[static_cast<std::size_t>(n)];
-    // Bank-list integrity: unlinking a node whose prev/head hint is stale
-    // would corrupt the per-bank FIFO and silently reorder issue picks —
-    // fatal in every build type, not just debug.
-    if (prev == kNone) {
-        DAPPER_CHECK(pb.head == n, "bank-list unlink: stale head hint");
-        pb.head = nd.next;
-    } else {
-        DAPPER_CHECK(pool_[static_cast<std::size_t>(prev)].next == n,
-                     "bank-list unlink: stale prev hint");
-        pool_[static_cast<std::size_t>(prev)].next = nd.next;
-    }
-    if (pb.tail == n)
-        pb.tail = prev;
-    --pb.count;
-    pb.scanValid = false;
-    release(n);
-    if (pb.count == 0)
-        deactivate(b);
-}
-
-void
-MemController::BankQueueIndex::removeBySeq(int b, std::int64_t seq)
-{
-    const PerBank &pb = banks_[static_cast<std::size_t>(b)];
-    std::int32_t prev = kNone;
-    std::int32_t n = pb.head;
-    while (n != kNone && pool_[static_cast<std::size_t>(n)].seq != seq) {
-        prev = n;
-        n = pool_[static_cast<std::size_t>(n)].next;
-    }
-    DAPPER_CHECK(n != kNone, "removeBySeq: seq not in bank list");
-    remove(b, n, prev);
-}
-
-void
-MemController::BankQueueIndex::ensureScan(int b, std::int32_t openRow,
-                                          std::int64_t windowSeq)
-{
-    PerBank &pb = banks_[static_cast<std::size_t>(b)];
-    // The memo's firsts are minima over seq-ordered prefixes, so they
-    // stay correct when the window shrinks; only growth past the
-    // examined horizon (or a row / list change) forces a rescan.
-    if (pb.scanValid && pb.scanRow == openRow &&
-        windowSeq <= pb.scanWindowSeq)
-        return;
-
-    pb.scanValid = true;
-    pb.scanRow = openRow;
-    pb.hitSeq = pb.missSeq = kSeqMax;
-    pb.hitNode = pb.hitPrev = kNone;
-    pb.missNode = pb.missPrev = kNone;
-
-    std::int32_t prev = kNone;
-    std::int32_t n = pb.head;
-    while (n != kNone) {
-        const Node &nd = pool_[static_cast<std::size_t>(n)];
-        if (nd.seq > windowSeq)
-            break; // Beyond the scan window: cannot compete.
-        if (nd.row == openRow) {
-            if (pb.hitNode == kNone) {
-                pb.hitSeq = nd.seq;
-                pb.hitNode = n;
-                pb.hitPrev = prev;
-            }
-        } else if (pb.missNode == kNone) {
-            pb.missSeq = nd.seq;
-            pb.missNode = n;
-            pb.missPrev = prev;
-        }
-        if (pb.hitNode != kNone && pb.missNode != kNone)
-            break; // Both firsts found: complete for every window.
-        prev = n;
-        n = nd.next;
-    }
-    const bool complete =
-        n == kNone || (pb.hitNode != kNone && pb.missNode != kNone);
-    // A partial scan stopped at the first node beyond the window; every
-    // node before it was examined, so the memo stays complete for any
-    // window threshold below that node — not merely the current one.
-    // (Without this, the sliding window would invalidate every
-    // partially-scanned bank on each issue.)
-    pb.scanWindowSeq =
-        complete ? kSeqMax : pool_[static_cast<std::size_t>(n)].seq - 1;
 }
 
 // ---------------------------------------------------------------------
@@ -206,9 +59,6 @@ MemController::MemController(const SysConfig &cfg, int channel,
     for (const RankState &rk : ranks_)
         refreshMin_ = std::min(refreshMin_, rk.nextRefreshAt);
 
-    readQ_.idx.init(numBanks);
-    writeQ_.idx.init(numBanks);
-    counterQ_.idx.init(numBanks);
     hitStartRaw_.assign(static_cast<std::size_t>(numBanks), 0);
     missStartRaw_.assign(static_cast<std::size_t>(numBanks), 0);
     bankTimingStamp_.assign(static_cast<std::size_t>(numBanks),
@@ -267,9 +117,7 @@ MemController::enqueue(const Request &req, Tick now)
     }
     Request queued = req;
     queued.enqueuedAt = now;
-    queued.seq = qs->nextBackSeq++;
     qs->q.push_back(queued);
-    qs->idx.pushBack(globalBank(queued), queued.seq, queued.dram.row);
 
     // Long-distance GroundTruth prefetch: most demand requests activate
     // when issued (row-buffer hit rates are low under attack traffic),
@@ -591,16 +439,13 @@ MemController::issue(Request req, Tick now)
                 bk.actReady = std::max(bk.actReady, allowedAt);
                 ++stats_.throttledActs;
                 wake(allowedAt);
-                // Put the request back at the front of its queue with a
-                // fresh front-of-queue order key (it may have been
-                // picked from the middle of the window).
+                // Put the request back at the front of its queue (it may
+                // have been picked from the middle of the window).
                 QueueState &qs = (req.type == ReqType::Write) ? writeQ_
                                  : (req.type == ReqType::Read)
                                      ? readQ_
                                      : counterQ_;
-                req.seq = qs.nextFrontSeq--;
                 qs.q.push_front(req);
-                qs.idx.pushFront(globalBank(req), req.seq, req.dram.row);
                 return;
             }
         }
@@ -685,23 +530,10 @@ MemController::issue(Request req, Tick now)
 MemController::ScanPick
 MemController::scanPick(QueueState &qs, Tick now)
 {
-    // Strategy dispatch on pure simulation state (queue depth and bank
-    // spread), never on cache or visit history — both picks return the
-    // same result, so this only chooses the cheaper way to compute it.
-    const std::size_t windowEntries = std::min(qs.q.size(), kScanWindow);
-    if (qs.idx.activeBanks().size() >= windowEntries)
-        return linearPick(qs, now);
-    return indexPick(qs, now);
-}
-
-MemController::ScanPick
-MemController::linearPick(QueueState &qs, Tick now)
-{
-    // The historical windowed deque walk, with earliestStart served
-    // from the per-bank timing cache instead of recomputed per entry.
+    // Windowed walk in queue order; each entry's start comes from its
+    // bank's timing cache (max(now, raw) > now iff raw > now).
     const std::size_t scanLimit = std::min(qs.q.size(), kScanWindow);
     ScanPick pick;
-    std::size_t oldestReady = scanLimit;
     Tick wakeMin = kTickMax;
     for (std::size_t i = 0; i < scanLimit; ++i) {
         const Request &req = qs.q[i];
@@ -712,83 +544,18 @@ MemController::linearPick(QueueState &qs, Tick now)
         const Tick raw = rowHit ? hitStartRaw_[bi] : missStartRaw_[bi];
         if (raw <= now) {
             if (rowHit) {
-                pick.seq = req.seq;
-                pick.bank = b;
                 pick.pos = i;
                 return pick;
             }
-            if (oldestReady == scanLimit)
-                oldestReady = i;
+            if (!pick.found())
+                pick.pos = i;
         } else {
             wakeMin = std::min(wakeMin, raw);
         }
     }
-    if (oldestReady != scanLimit) {
-        pick.seq = qs.q[oldestReady].seq;
-        pick.bank = globalBank(qs.q[oldestReady]);
-        pick.pos = oldestReady;
-        return pick;
-    }
-    pick.wakeAt = wakeMin;
+    if (!pick.found())
+        pick.wakeAt = wakeMin;
     return pick;
-}
-
-MemController::ScanPick
-MemController::indexPick(QueueState &qs, Tick now)
-{
-    // FR-FCFS over banks: each bank contributes at most two candidates
-    // — its first row hit and its first row miss inside the scan
-    // window — with one start time each, so the pick (first ready row
-    // hit by queue order, else oldest ready request) and the earliest
-    // future start reduce to minima over the active banks.
-    const std::int64_t windowSeq = qs.q.size() > kScanWindow
-                                       ? qs.q[kScanWindow - 1].seq
-                                       : kSeqMax;
-    ScanPick hit, miss;
-    Tick wakeMin = kTickMax;
-    for (std::int32_t b : qs.idx.activeBanks()) {
-        const std::size_t bi = static_cast<std::size_t>(b);
-        qs.idx.ensureScan(b, banks_[bi].openRow, windowSeq);
-        const BankQueueIndex::PerBank &pb = qs.idx.bankList(b);
-        const bool hasHit = pb.hitNode != BankQueueIndex::kNone &&
-                            pb.hitSeq <= windowSeq;
-        const bool hasMiss = pb.missNode != BankQueueIndex::kNone &&
-                             pb.missSeq <= windowSeq;
-        if (!hasHit && !hasMiss)
-            continue; // No in-window candidate: timing is irrelevant.
-        ensureTiming(b);
-        if (hasHit) {
-            if (hitStartRaw_[bi] <= now) {
-                if (pb.hitSeq < hit.seq) {
-                    hit.seq = pb.hitSeq;
-                    hit.bank = b;
-                    hit.node = pb.hitNode;
-                    hit.prev = pb.hitPrev;
-                }
-            } else {
-                wakeMin = std::min(wakeMin, hitStartRaw_[bi]);
-            }
-        }
-        if (hasMiss) {
-            if (missStartRaw_[bi] <= now) {
-                if (pb.missSeq < miss.seq) {
-                    miss.seq = pb.missSeq;
-                    miss.bank = b;
-                    miss.node = pb.missNode;
-                    miss.prev = pb.missPrev;
-                }
-            } else {
-                wakeMin = std::min(wakeMin, missStartRaw_[bi]);
-            }
-        }
-    }
-    if (hit.found())
-        return hit;
-    if (miss.found())
-        return miss;
-    ScanPick none;
-    none.wakeAt = wakeMin;
-    return none;
 }
 
 bool
@@ -806,26 +573,14 @@ MemController::tryIssueFrom(QueueState &qs, Tick now, Tick &issueWake)
         return false;
     }
 
-    // The linear path hands back the deque position; the index path
-    // finds it by binary search (the deque is sorted by seq). The erase
-    // still memmoves, but only on actual issue.
-    const auto it =
-        pick.pos != ScanPick::kNoPos
-            ? qs.q.begin() + static_cast<std::ptrdiff_t>(pick.pos)
-            : std::lower_bound(
-                  qs.q.begin(), qs.q.end(), pick.seq,
-                  [](const Request &r, std::int64_t s) { return r.seq < s; });
-    // Seq invariant: the pick must still be in the deque it was scanned
-    // from; issuing a mismatched request corrupts queue accounting.
-    DAPPER_CHECK(it != qs.q.end() && it->seq == pick.seq,
-                 "issue: picked seq not found in queue");
+    // The pick must index the deque it was scanned from; issuing past
+    // its end would corrupt queue accounting.
+    DAPPER_CHECK(pick.pos < qs.q.size(),
+                 "issue: picked position outside queue");
+    const auto it = qs.q.begin() + static_cast<std::ptrdiff_t>(pick.pos);
     Request req = *it;
     const bool readWasFull = &qs == &readQ_ && qs.q.size() >= kReadQCap;
     qs.q.erase(it);
-    if (pick.node != BankQueueIndex::kNone)
-        qs.idx.remove(pick.bank, pick.node, pick.prev);
-    else
-        qs.idx.removeBySeq(pick.bank, pick.seq);
     // Cores poll readQueueFull() before enqueueing bypass reads; tell
     // them when space appears. (issue() may immediately push the request
     // back on a throttle, making this wake spurious — that is safe.)
@@ -911,52 +666,17 @@ MemController::tick(Tick now)
 }
 
 // ---------------------------------------------------------------------
-// Test/debug audit: index vs brute-force reference.
+// Test/debug audit: cache-backed pick vs brute-force reference.
 // ---------------------------------------------------------------------
 
 bool
 MemController::auditQueue(QueueState &qs, Tick now)
 {
-    // 1. Deque sorted by seq, and the per-bank lists partition it in
-    //    deque order.
-    const int numBanks = cfg_.ranksPerChannel * banksPerRank_;
-    std::vector<std::vector<std::pair<std::int64_t, std::int32_t>>>
-        expect(static_cast<std::size_t>(numBanks));
-    std::int64_t prevSeq = std::numeric_limits<std::int64_t>::min();
-    for (const Request &r : qs.q) {
-        if (r.seq <= prevSeq)
-            return false;
-        prevSeq = r.seq;
-        expect[static_cast<std::size_t>(globalBank(r))].emplace_back(
-            r.seq, r.dram.row);
-    }
-    std::size_t activeCount = 0;
-    for (int b = 0; b < numBanks; ++b) {
-        const auto &pb = qs.idx.bankList(b);
-        const auto &want = expect[static_cast<std::size_t>(b)];
-        if (static_cast<std::size_t>(pb.count) != want.size())
-            return false;
-        if (!want.empty())
-            ++activeCount;
-        std::size_t i = 0;
-        for (std::int32_t n = pb.head; n != BankQueueIndex::kNone;
-             n = qs.idx.node(n).next, ++i) {
-            if (i >= want.size() ||
-                qs.idx.node(n).seq != want[i].first ||
-                qs.idx.node(n).row != want[i].second)
-                return false;
-        }
-        if (i != want.size())
-            return false;
-    }
-    if (activeCount != qs.idx.activeBanks().size())
-        return false;
-
-    // 2. Reference windowed linear scan (the pre-index algorithm, on
-    //    raw state) must agree with the index-based pick.
-    const std::size_t npos = qs.q.size();
-    std::size_t pick = npos;
-    std::size_t oldestReady = npos;
+    // Reference windowed linear scan on raw state (no timing cache) must
+    // agree with scanPick on the picked position, or on the wake horizon
+    // when nothing is ready.
+    std::size_t pick = ScanPick::kNoPos;
+    std::size_t oldestReady = ScanPick::kNoPos;
     Tick bestWake = kTickMax;
     const std::size_t scanLimit = std::min(qs.q.size(), kScanWindow);
     for (std::size_t i = 0; i < scanLimit; ++i) {
@@ -969,24 +689,19 @@ MemController::auditQueue(QueueState &qs, Tick now)
                 pick = i;
                 break;
             }
-            if (oldestReady == npos)
+            if (oldestReady == ScanPick::kNoPos)
                 oldestReady = i;
         } else {
             bestWake = std::min(bestWake, start);
         }
     }
-    if (pick == npos)
+    if (pick == ScanPick::kNoPos)
         pick = oldestReady;
 
-    // Both strategies must agree with the reference (the dispatcher
-    // may choose either, so each needs independent coverage).
-    const ScanPick ip = indexPick(qs, now);
-    const ScanPick lp = linearPick(qs, now);
-    if (pick == npos)
-        return !ip.found() && !lp.found() && ip.wakeAt == bestWake &&
-               lp.wakeAt == bestWake;
-    return ip.found() && lp.found() && qs.q[pick].seq == ip.seq &&
-           lp.seq == ip.seq;
+    const ScanPick sp = scanPick(qs, now);
+    if (pick == ScanPick::kNoPos)
+        return !sp.found() && sp.wakeAt == bestWake;
+    return sp.pos == pick;
 }
 
 bool

@@ -17,14 +17,13 @@
  * The controller is tick()-driven on the core clock but keeps a
  * next-work watermark so idle or blocked phases cost almost nothing.
  *
- * FR-FCFS candidate selection iterates *banks*, not queued requests: a
- * per-bank intrusive FIFO index (BankQueueIndex) tracks each bank's
- * first row-hit / first row-miss request, and a per-bank earliest-start
- * cache (invalidated by stateGen_) memoizes the two timing values a
- * bank can contribute at a fixed tick. The pick is bit-identical to the
- * historical windowed linear scan over the deque — see mem/README.md
- * for the argument and the invalidation contract, and auditQueues() for
- * the runtime cross-check the tests exercise.
+ * FR-FCFS candidate selection walks the oldest kScanWindow requests of
+ * a queue in order. Each entry's earliest start comes from a per-bank
+ * timing cache: at a fixed tick a bank contributes at most two start
+ * values (row hit, row miss), re-derived only when the channel, rank or
+ * bank generation stamp moves. See mem/README.md for the invalidation
+ * contract, and auditQueues() for the runtime cross-check against a
+ * brute-force recomputation that the tests exercise.
  */
 
 #ifndef DAPPER_MEM_CONTROLLER_HH
@@ -32,7 +31,6 @@
 
 #include <cassert>
 #include <cstdint>
-#include <limits>
 #include <queue>
 #include <vector>
 
@@ -201,10 +199,9 @@ class MemController
     void applyMitigation(const Mitigation &m, Tick now);
 
     /**
-     * Test/debug hook: verifies that every per-bank index exactly
-     * mirrors its deque and that the index-based pick (scanPick) equals
-     * a brute-force windowed linear reference scan recomputed from raw
-     * bank state. O(queue depth); returns false on any divergence.
+     * Test/debug hook: verifies that the cache-backed pick (scanPick)
+     * equals a brute-force windowed linear reference scan recomputed
+     * from raw bank state. O(window); returns false on any divergence.
      */
     bool auditQueues(Tick now);
 
@@ -215,8 +212,6 @@ class MemController
     /// FR-FCFS scan window: only the oldest 48 requests of a queue
     /// compete for issue (hardware schedulers window similarly).
     static constexpr std::size_t kScanWindow = 48;
-    static constexpr std::int64_t kSeqMax =
-        std::numeric_limits<std::int64_t>::max();
 
     struct BankState
     {
@@ -248,136 +243,14 @@ class MemController
         }
     };
 
-    /**
-     * Intrusive per-bank FIFO lists layered over one request deque, plus
-     * a per-bank scan memo naming the bank's first row-hit and first
-     * row-miss request (the only two candidates a bank can contribute to
-     * an FR-FCFS pick). Nodes live in a pooled free list; lists and the
-     * deque stay ordered by Request::seq. The memo's validity rule is
-     * purely state-based (list content, open row, window threshold), so
-     * both engines reach identical conclusions regardless of how often
-     * they visit — see mem/README.md.
-     */
-    class BankQueueIndex
-    {
-      public:
-        static constexpr std::int32_t kNone = -1;
-
-        struct Node
-        {
-            std::int64_t seq;
-            std::int32_t row;
-            std::int32_t next;
-        };
-
-        struct PerBank
-        {
-            std::int32_t head = kNone;
-            std::int32_t tail = kNone;
-            std::int32_t count = 0;
-            std::int32_t activePos = -1;
-
-            // Scan memo: first row-hit / first row-miss node assuming
-            // open row scanRow, complete for any window threshold
-            // K <= scanWindowSeq. Invalidated by any mutation of this
-            // bank's list; revalidated lazily by ensureScan().
-            bool scanValid = false;
-            std::int32_t scanRow = -1;
-            std::int64_t scanWindowSeq = 0;
-            std::int64_t hitSeq = 0;
-            std::int64_t missSeq = 0;
-            std::int32_t hitNode = kNone;
-            std::int32_t hitPrev = kNone;
-            std::int32_t missNode = kNone;
-            std::int32_t missPrev = kNone;
-        };
-
-        void
-        init(int numBanks)
-        {
-            banks_.assign(static_cast<std::size_t>(numBanks), PerBank{});
-            active_.clear();
-            pool_.clear();
-            freeHead_ = kNone;
-        }
-
-        const std::vector<std::int32_t> &activeBanks() const
-        {
-            return active_;
-        }
-
-        PerBank &bankList(int b)
-        {
-            return banks_[static_cast<std::size_t>(b)];
-        }
-
-        const Node &node(std::int32_t n) const
-        {
-            return pool_[static_cast<std::size_t>(n)];
-        }
-
-        void pushBack(int b, std::int64_t seq, std::int32_t row);
-        void pushFront(int b, std::int64_t seq, std::int32_t row);
-        /** Remove @p n (whose predecessor is @p prev) from bank @p b. */
-        void remove(int b, std::int32_t n, std::int32_t prev);
-        /** Remove the node carrying @p seq (linear-pick path). */
-        void removeBySeq(int b, std::int64_t seq);
-
-        /**
-         * Make the scan memo of bank @p b valid for open row @p openRow
-         * and window threshold @p windowSeq. Walks the bank list from
-         * the head, but never past the window, so the total work across
-         * all banks of a queue is bounded by the window size.
-         */
-        void ensureScan(int b, std::int32_t openRow,
-                        std::int64_t windowSeq);
-
-      private:
-        std::int32_t alloc(std::int64_t seq, std::int32_t row);
-
-        void
-        release(std::int32_t n)
-        {
-            pool_[static_cast<std::size_t>(n)].next = freeHead_;
-            freeHead_ = n;
-        }
-
-        void
-        activate(int b)
-        {
-            PerBank &pb = banks_[static_cast<std::size_t>(b)];
-            pb.activePos = static_cast<std::int32_t>(active_.size());
-            active_.push_back(static_cast<std::int32_t>(b));
-        }
-
-        void
-        deactivate(int b)
-        {
-            PerBank &pb = banks_[static_cast<std::size_t>(b)];
-            const std::int32_t pos = pb.activePos;
-            const std::int32_t last = active_.back();
-            active_[static_cast<std::size_t>(pos)] = last;
-            banks_[static_cast<std::size_t>(last)].activePos = pos;
-            active_.pop_back();
-            pb.activePos = -1;
-        }
-
-        std::vector<Node> pool_;
-        std::int32_t freeHead_ = kNone;
-        std::vector<PerBank> banks_;
-        std::vector<std::int32_t> active_;
-    };
-
-    /** One request queue: seq-sorted bounded ring (src/common/arena.hh,
-     *  no steady-state allocation) plus its per-bank index. */
+    /** One request queue: a bounded ring in arrival order, except that
+     *  a throttle re-queue goes back to the front (src/common/arena.hh,
+     *  no steady-state allocation). */
     struct QueueState
     {
         explicit QueueState(std::size_t cap) : q(cap) {}
 
         RingDeque<Request> q;
-        BankQueueIndex idx;
-        std::int64_t nextBackSeq = 0;
-        std::int64_t nextFrontSeq = -1;
     };
 
     /** Outcome of an FR-FCFS scan over one queue. */
@@ -385,14 +258,10 @@ class MemController
     {
         static constexpr std::size_t kNoPos = ~std::size_t(0);
 
-        std::int64_t seq = kSeqMax;
-        std::int32_t bank = -1; ///< Global bank id; -1: nothing ready.
-        std::int32_t node = BankQueueIndex::kNone;
-        std::int32_t prev = BankQueueIndex::kNone;
-        std::size_t pos = kNoPos; ///< Deque index (linear path only).
+        std::size_t pos = kNoPos; ///< Deque index; kNoPos: nothing ready.
         Tick wakeAt = kTickMax; ///< Earliest future start (no-pick case).
 
-        bool found() const { return bank >= 0; }
+        bool found() const { return pos != kNoPos; }
     };
 
     BankState &bank(int rank, int bank);
@@ -408,27 +277,18 @@ class MemController
     void serviceRefresh(Tick now);
     bool tryIssueFrom(QueueState &qs, Tick now, Tick &issueWake);
     /**
-     * FR-FCFS selection: first ready row hit by seq, else oldest ready
-     * request by seq, over the queue's scan window. Dispatches between
-     * two provably identical strategies on a state-pure predicate (so
-     * engine equivalence is untouched): the O(active banks) index pick
-     * when traffic is concentrated, and a cache-accelerated linear
-     * window walk when requests spread across as many banks as the
-     * window holds (where per-bank iteration has no advantage and the
-     * sequential deque walk is cheaper per item).
+     * FR-FCFS selection: first ready row hit in queue order, else the
+     * oldest ready request, over the queue's scan window, with each
+     * entry's start served from the per-bank timing cache.
      */
     ScanPick scanPick(QueueState &qs, Tick now);
-    /** O(active banks) candidate selection via the per-bank index. */
-    ScanPick indexPick(QueueState &qs, Tick now);
-    /** Windowed linear deque walk using the per-bank timing cache. */
-    ScanPick linearPick(QueueState &qs, Tick now);
     /** Refresh hitStartRaw_/missStartRaw_ of bank @p b if stale. */
     void ensureTiming(int b);
     /** Earliest tick request could begin (cache-backed). */
     Tick earliestStart(const Request &req, Tick now);
     /**
      * Pure recomputation of the earliest start from raw bank state —
-     * the pre-index formula, kept as the reference for auditQueues().
+     * the uncached formula, kept as the reference for auditQueues().
      */
     Tick referenceEarliestStart(const Request &req, Tick now) const;
     bool auditQueue(QueueState &qs, Tick now);

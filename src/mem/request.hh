@@ -40,14 +40,6 @@ struct Request
      * encode(dram) >> lineBits; meaningless for other request kinds.
      */
     std::uint64_t lineAddr = 0;
-    /**
-     * Controller-internal queue-order key. Assigned on enqueue (strictly
-     * increasing) and re-assigned on a throttle re-queue (strictly
-     * decreasing from the front), so every controller queue stays sorted
-     * by seq and the per-bank index (see mem/README.md) can name, rank,
-     * and binary-search requests without positional indices.
-     */
-    std::int64_t seq = 0;
 };
 
 /** Completion callback interface. */

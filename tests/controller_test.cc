@@ -3,20 +3,52 @@
  * Memory controller timing tests: row-hit vs row-miss latency, tRC /
  * tRRD pacing, refresh blocking, mitigation blocking windows (VRR,
  * RFMsb/DRFMsb granularity, bulk resets), counter-traffic priority,
- * write drain, and FR-FCFS ordering invariants of the per-bank queue
- * index — including a randomized stress that cross-checks the index
- * pick against a brute-force windowed linear scan (auditQueues).
+ * write drain, and FR-FCFS ordering invariants of the windowed pick —
+ * including a randomized stress, with and without BlockHammer-style
+ * throttle re-queues, that cross-checks the cache-backed pick against
+ * a brute-force windowed linear scan (auditQueues).
  */
 
 #include <gtest/gtest.h>
 
 #include <cstdint>
+#include <string>
 #include <vector>
 
 #include "src/mem/controller.hh"
 
 namespace dapper {
 namespace {
+
+/**
+ * BlockHammer-shaped throttle stub: an ACT to one of a few hot rows may
+ * only issue on a kSlot-tick boundary, so most of them are delayed by up
+ * to a few hundred ticks and re-queued at the front of their queue.
+ */
+class HotRowThrottle : public Tracker
+{
+  public:
+    static constexpr Tick kSlot = 400;
+    static constexpr int kHotRows = 2;
+
+    void
+    onActivation(const ActEvent &event, MitigationVec &out) override
+    {
+        (void)event;
+        (void)out;
+    }
+
+    Tick
+    throttleUntil(const ActEvent &event) override
+    {
+        return event.row < kHotRows
+                   ? (event.now + kSlot - 1) / kSlot * kSlot
+                   : 0;
+    }
+
+    StorageEstimate storage() const override { return {}; }
+    std::string name() const override { return "hot-row-throttle"; }
+};
 
 struct CaptureSink : MemSink
 {
@@ -49,6 +81,8 @@ class ControllerTest : public ::testing::Test
         for (; now_ < end; ++now_)
             mc_.tick(now_);
     }
+
+    void stressAgainstReference(Tracker *tracker);
 
     SysConfig cfg_;
     CaptureSink sink_;
@@ -199,7 +233,7 @@ TEST_F(ControllerTest, ReadLatencyReservoirTracksTail)
 }
 
 // ---------------------------------------------------------------------
-// FR-FCFS ordering invariants of the per-bank queue index.
+// FR-FCFS ordering invariants of the windowed pick.
 // ---------------------------------------------------------------------
 
 TEST_F(ControllerTest, RowHitPreferredOverOlderMissWithinBank)
@@ -276,14 +310,16 @@ TEST_F(ControllerTest, WriteDrainHysteresisServesWriteBurstFirst)
 }
 
 /**
- * Randomized stress: after every controller step the per-bank index
- * must mirror the deques exactly and the index-based pick must equal a
- * brute-force windowed linear scan recomputed from raw bank state.
- * Covers deep same-bank queues (past the 48-entry scan window), bursts
- * across banks, counter traffic, and mitigation blocking windows.
+ * Randomized stress: after every controller step the cache-backed pick
+ * must equal a brute-force windowed linear scan recomputed from raw
+ * bank state. Covers deep same-bank queues (past the 48-entry scan
+ * window), bursts across banks, counter traffic, mitigation blocking
+ * windows and, with a throttling @p tracker, front-of-queue re-queues.
  */
-TEST_F(ControllerTest, IndexMatchesBruteForceReferenceUnderStress)
+void
+ControllerTest::stressAgainstReference(Tracker *tracker)
 {
+    mc_.setTracker(tracker);
     std::uint64_t rng = 0xDEADBEEFCAFEF00Dull;
     auto rnd = [&rng](std::uint32_t mod) {
         rng = rng * 6364136223846793005ull + 1442695040888963407ull;
@@ -332,6 +368,19 @@ TEST_F(ControllerTest, IndexMatchesBruteForceReferenceUnderStress)
     EXPECT_GT(mc_.stats().reads + mc_.stats().writes, 500u);
     EXPECT_GT(mc_.stats().rowHits, 0u);
     EXPECT_GT(mc_.stats().rowMisses, 0u);
+}
+
+TEST_F(ControllerTest, PickMatchesBruteForceReferenceUnderStress)
+{
+    stressAgainstReference(nullptr);
+}
+
+TEST_F(ControllerTest, PickMatchesBruteForceReferenceUnderThrottleStress)
+{
+    HotRowThrottle throttle;
+    stressAgainstReference(&throttle);
+    // The re-queue path must actually have run under the audit.
+    EXPECT_GT(mc_.stats().throttledActs, 0u);
 }
 
 } // namespace
