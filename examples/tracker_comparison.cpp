@@ -47,20 +47,19 @@ main(int argc, char **argv)
     std::printf("%-16s %10s %12s %12s %12s\n", "Tracker", "NormPerf",
                 "Mitigations", "SRAM(KB)", "CAM(KB)");
 
-    const char *kinds[] = {
+    const char *names[] = {
         "para",     "pride", "prac",    "blockhammer", "hydra",
         "start",    "comet", "abacus",  "graphene",    "dapper-s",
         "dapper-h",
     };
 
-    for (const char *name : kinds) {
+    for (const char *name : names) {
         const TrackerInfo &info = TrackerRegistry::instance().at(name);
         const ScenarioResult r = runner.run(
             Scenario(base).tracker(info).baseline(Baseline::NoAttack));
         SysConfig storageCfg = cfg;
         storageCfg.timeScale = 1.0; // Storage quoted per physical window.
-        const auto tracker = info.make(storageCfg, nullptr);
-        const StorageEstimate est = tracker->storage();
+        const StorageEstimate est = info.storage(storageCfg);
         std::printf("%-16s %10.4f %12llu %12.1f %12.1f\n",
                     info.displayName.c_str(), r.normalized,
                     static_cast<unsigned long long>(r.run.mitigations),

@@ -2,12 +2,12 @@
  * @file
  * Shared mechanics for the name-keyed experiment registries
  * (TrackerRegistry in src/rh/registry.hh, AttackRegistry in
- * src/workload/attack_registry.hh): stable-address entry storage,
- * duplicate/empty-name validation, and lookups by stable name or by
- * built-in enum value with error messages that list the available
- * names.
+ * src/workload/attack_registry.hh, WorkloadRegistry in
+ * src/workload/workload_registry.hh): stable-address entry storage,
+ * duplicate/empty-name validation, and lookups by stable name with
+ * error messages that list the available names.
  *
- * Info must provide `std::string name` and `std::optional<Kind> kind`.
+ * Info must provide `std::string name`.
  * Registration must complete before the registry is read concurrently;
  * in practice all registration happens during static initialization
  * and worker threads only read.
@@ -25,7 +25,7 @@
 
 namespace dapper {
 
-template <typename Info, typename Kind>
+template <typename Info>
 class NamedRegistry
 {
   public:
@@ -68,17 +68,6 @@ class NamedRegistry
             os << ' ' << info.name;
         os << ')';
         throw std::invalid_argument(os.str());
-    }
-
-    /** Lookup the entry for a built-in enum value. */
-    const Info &
-    at(Kind kind) const
-    {
-        for (const Info &info : entries_)
-            if (info.kind == kind)
-                return info;
-        throw std::invalid_argument("built-in " + label_ +
-                                    " without registry entry");
     }
 
     /** Stable names in registration order. */

@@ -6,11 +6,12 @@
  * it reserves LLC ways, how it adjusts the config (mitigation command
  * flavour, blast radius), and which tailored Perf-Attack targets it —
  * and a factory closure. Experiments (Scenario, dapper_sim, bench_util)
- * resolve trackers exclusively through this registry; the TrackerKind
- * enum stays an internal detail of the built-in factory.
+ * resolve trackers exclusively through this registry. The registry's
+ * constructor (src/rh/registry.cc) is the one table of built-in
+ * trackers.
  *
- * Adding a tracker does not require touching any enum switch: register
- * an entry from the tracker's own translation unit with
+ * Adding a tracker touches neither that table nor anything else shared:
+ * register an entry from the tracker's own translation unit with
  * DAPPER_REGISTER_TRACKER (see src/sim/README.md, "Adding a new tracker
  * in one file").
  */
@@ -20,12 +21,11 @@
 
 #include <functional>
 #include <memory>
-#include <optional>
 #include <string>
 
 #include "src/common/config.hh"
 #include "src/common/registry.hh"
-#include "src/rh/factory.hh"
+#include "src/rh/tracker.hh"
 
 namespace dapper {
 
@@ -38,9 +38,6 @@ struct TrackerInfo
     std::string name;
     /// Display name used in printed tables ("DAPPER-H", "PrIDE-RFMsb").
     std::string displayName;
-    /// Internal enum for built-in trackers; nullopt for registry-only
-    /// extensions.
-    std::optional<TrackerKind> kind;
     /// Whether the tracker reserves half the LLC ways (START).
     bool reservesLlc = false;
     /// Stable name of the tailored Perf-Attack targeting this tracker
@@ -48,12 +45,12 @@ struct TrackerInfo
     std::string counterAttack = "none";
     /// Command-flavour / blast-radius adjustments; run before any
     /// component copies the config.
-    std::function<void(SysConfig &)> adjustConfig;
+    std::function<void(SysConfig &)> adjustConfig = {};
     /// Build the tracker against an already-adjusted config. May return
     /// nullptr (the "none" entry: unprotected system).
     std::function<std::unique_ptr<Tracker>(SysConfig &, Llc *)> make;
 
-    bool isNone() const { return kind == TrackerKind::None; }
+    bool isNone() const { return name == "none"; }
 
     /**
      * Table-III storage estimate without building a System: adjust a
@@ -82,13 +79,13 @@ struct TrackerInfo
  * registry is read concurrently; in practice all registration happens
  * during static initialization, and sweep worker threads only read.
  */
-class TrackerRegistry : public NamedRegistry<TrackerInfo, TrackerKind>
+class TrackerRegistry : public NamedRegistry<TrackerInfo>
 {
   public:
     static TrackerRegistry &instance();
 
   private:
-    TrackerRegistry(); ///< Registers the built-in trackers.
+    TrackerRegistry(); ///< The table of built-in trackers.
 
     void normalize(TrackerInfo &info) override;
 };

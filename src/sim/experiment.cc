@@ -124,8 +124,8 @@ runOnce(const SysConfig &cfg, const std::vector<std::string> &workloads,
 
 RunResult
 runOnce(const SysConfig &cfg, const std::string &workload,
-        AttackKind attack, TrackerKind tracker, Tick horizon,
-        Engine engine)
+        const std::string &attack, const std::string &tracker,
+        Tick horizon, Engine engine)
 {
     return runOnce(cfg, workload, AttackRegistry::instance().at(attack),
                    TrackerRegistry::instance().at(tracker), horizon,

@@ -7,17 +7,9 @@
 
 namespace dapper {
 
-System::System(const SysConfig &cfg, TrackerKind kind,
-               std::vector<std::unique_ptr<TraceGen>> gens,
-               int attackerCore)
-    : System(cfg, TrackerRegistry::instance().at(kind), std::move(gens),
-             attackerCore)
-{
-}
-
 System::System(const SysConfig &cfg, const TrackerInfo &tracker,
                std::vector<std::unique_ptr<TraceGen>> gens,
-               int attackerCore)
+               [[maybe_unused]] int attackerCore)
     : cfg_(cfg), mapper_(cfg_), gens_(std::move(gens))
 {
     cfg_.validate();
@@ -52,14 +44,10 @@ System::System(const SysConfig &cfg, const TrackerInfo &tracker,
         mc->setTracker(tracker_.get());
 
     cores_.reserve(static_cast<std::size_t>(cfg_.numCores));
-    for (int i = 0; i < cfg_.numCores; ++i) {
-        // The paper's attacker is an ordinary user-privilege application
-        // on one core (Section II-C): same core resources as everyone.
-        (void)attackerCore;
+    for (int i = 0; i < cfg_.numCores; ++i)
         cores_.push_back(std::make_unique<Core>(cfg_, i, gens_[i].get(),
                                                 llc_.get(), mcPtrs,
                                                 &mapper_, cfg_.coreMshrs));
-    }
 
     for (auto &core : cores_)
         coreRaw_.push_back(core.get());

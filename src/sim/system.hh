@@ -17,7 +17,6 @@
 #include "src/dram/address.hh"
 #include "src/energy/energy_model.hh"
 #include "src/mem/controller.hh"
-#include "src/rh/factory.hh"
 #include "src/rh/ground_truth.hh"
 #include "src/rh/registry.hh"
 #include "src/rh/tracker.hh"
@@ -35,16 +34,12 @@ class System
      *        metadata + factory); TrackerRegistry::at("none") for an
      *        unprotected system.
      * @param gens one trace generator per core (ownership transferred).
-     * @param attackerCore index of the attacker core (gets a deeper
-     *        outstanding-request budget), or -1 for none.
+     * @param attackerCore index of the attacker core, or -1 for none.
+     *        Unused: the paper's attacker is an ordinary user-privilege
+     *        application (Section II-C), so its core gets the same
+     *        resources as every other core.
      */
     System(const SysConfig &cfg, const TrackerInfo &tracker,
-           std::vector<std::unique_ptr<TraceGen>> gens,
-           int attackerCore = -1);
-
-    /** Convenience for the built-in trackers: resolves @p kind through
-     *  the registry. */
-    System(const SysConfig &cfg, TrackerKind kind,
            std::vector<std::unique_ptr<TraceGen>> gens,
            int attackerCore = -1);
 

@@ -71,7 +71,6 @@ makeTraceWorkload(std::string workloadName, std::string path,
 {
     WorkloadInfo info;
     info.name = std::move(workloadName);
-    info.kind = WorkloadKind::Trace;
     info.description = std::move(description);
     info.isTrace = true;
     info.make = [name = info.name, path = std::move(path)](

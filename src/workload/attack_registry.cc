@@ -4,36 +4,6 @@
 
 namespace dapper {
 
-namespace {
-
-AttackInfo
-builtin(AttackKind kind)
-{
-    AttackInfo info;
-    info.name = attackName(kind); // attackName() emits the stable names.
-    info.kind = kind;
-    info.make = [kind](const SysConfig &cfg, const AddressMapper &mapper,
-                       std::uint64_t seed) {
-        return makeAttackGen(kind, cfg, mapper, seed);
-    };
-    return info;
-}
-
-} // namespace
-
-AttackRegistry::AttackRegistry() : NamedRegistry("attack")
-{
-    add(builtin(AttackKind::None));
-    add(builtin(AttackKind::CacheThrash));
-    add(builtin(AttackKind::HydraRcc));
-    add(builtin(AttackKind::StartStream));
-    add(builtin(AttackKind::CometRat));
-    add(builtin(AttackKind::AbacusSpill));
-    add(builtin(AttackKind::Streaming));
-    add(builtin(AttackKind::RefreshAttack));
-    add(builtin(AttackKind::MappingProbe));
-}
-
 AttackRegistry &
 AttackRegistry::instance()
 {

@@ -2,22 +2,23 @@
  * @file
  * AttackRegistry: string-keyed surface for naming attacker address
  * streams, mirroring TrackerRegistry (src/rh/registry.hh). Experiments
- * resolve attacks by stable name ("hydra-rcc", "refresh"); the
- * AttackKind enum stays internal to the built-in generator factory.
+ * resolve attacks by stable name ("hydra-rcc", "refresh"). The
+ * registry's constructor, next to the generator classes in
+ * src/workload/attacks.cc, is the one table of built-in attacks.
  */
 
 #ifndef DAPPER_WORKLOAD_ATTACK_REGISTRY_HH
 #define DAPPER_WORKLOAD_ATTACK_REGISTRY_HH
 
+#include <cstdint>
 #include <functional>
 #include <memory>
-#include <optional>
 #include <string>
 
 #include "src/common/config.hh"
 #include "src/common/registry.hh"
 #include "src/dram/address.hh"
-#include "src/workload/attacks.hh"
+#include "src/workload/trace_gen.hh"
 
 namespace dapper {
 
@@ -26,14 +27,12 @@ struct AttackInfo
 {
     /// Stable lowercase CLI / JSON name ("refresh", "cache-thrash").
     std::string name;
-    /// Internal enum for built-in attacks; nullopt for extensions.
-    std::optional<AttackKind> kind;
-    /// Build the attacker's trace generator. Never called for "none".
+    /// Build the attacker's trace generator ("none" builds nullptr).
     std::function<std::unique_ptr<TraceGen>(
         const SysConfig &, const AddressMapper &, std::uint64_t seed)>
         make;
 
-    bool isNone() const { return kind == AttackKind::None; }
+    bool isNone() const { return name == "none"; }
 };
 
 /**
@@ -42,13 +41,13 @@ struct AttackInfo
  * must complete before concurrent reads (static initialization in
  * practice).
  */
-class AttackRegistry : public NamedRegistry<AttackInfo, AttackKind>
+class AttackRegistry : public NamedRegistry<AttackInfo>
 {
   public:
     static AttackRegistry &instance();
 
   private:
-    AttackRegistry(); ///< Registers the built-in attacks.
+    AttackRegistry(); ///< The table of built-in attacks (attacks.cc).
 
     void normalize(AttackInfo &info) override;
 };

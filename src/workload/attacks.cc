@@ -1,6 +1,28 @@
-#include "src/workload/attacks.hh"
+/**
+ * @file
+ * Performance-Attack address-stream generators (paper Sections III-B,
+ * V-D, V-E) and the AttackRegistry table that names them.
+ *
+ * Each generator emits the DRAM activation pattern the paper describes:
+ *  - CacheThrash: classic LLC-thrashing stream (the baseline attack);
+ *  - HydraRcc: >32 rows mapping to the same Row Counter Cache set across
+ *    banks, forcing RCC set-conflict misses and counter traffic (Fig 2a);
+ *  - StartStream: stream over all rows, filling START's reserved LLC
+ *    counter region and forcing counter fetches (Fig 2b);
+ *  - CometRat: rapid activation of more rows than the 128-entry RAT
+ *    holds, forcing counter overestimation and early resets (Fig 2c);
+ *  - AbacusSpill: ever-new row IDs across banks, overflowing the shared
+ *    Misra-Gries spillover counter (Fig 2d);
+ *  - Streaming: activate every row in the rank (mapping-agnostic, §V-E);
+ *  - RefreshAttack: hammer a few rows per bank to continually trigger
+ *    group mitigations (mapping-agnostic, §V-E);
+ *  - MappingProbe: the two-phase mapping-capturing probe of §V-D.
+ *
+ * Attack accesses bypass the LLC (modeling engineered uncached access)
+ * except CacheThrash, whose entire point is cache pollution.
+ */
 
-#include <stdexcept>
+#include "src/workload/attack_registry.hh"
 
 #include "src/common/rng.hh"
 
@@ -238,50 +260,36 @@ class MappingProbeGen : public AttackBase
     std::uint64_t probe_ = 0;
 };
 
-} // namespace
-
-std::string
-attackName(AttackKind kind)
+/** Factory for a generator built from (cfg, mapper, seed) plus fixed
+ *  @p extra constructor arguments. */
+template <typename T, typename... Extra>
+auto
+generator(Extra... extra)
 {
-    switch (kind) {
-      case AttackKind::None: return "none";
-      case AttackKind::CacheThrash: return "cache-thrash";
-      case AttackKind::HydraRcc: return "hydra-rcc";
-      case AttackKind::StartStream: return "start-stream";
-      case AttackKind::CometRat: return "comet-rat";
-      case AttackKind::AbacusSpill: return "abacus-spill";
-      case AttackKind::Streaming: return "streaming";
-      case AttackKind::RefreshAttack: return "refresh";
-      case AttackKind::MappingProbe: return "mapping-probe";
-    }
-    return "?";
+    return [=](const SysConfig &cfg, const AddressMapper &mapper,
+               std::uint64_t seed) -> std::unique_ptr<TraceGen> {
+        return std::make_unique<T>(cfg, mapper, seed, extra...);
+    };
 }
 
-std::unique_ptr<TraceGen>
-makeAttackGen(AttackKind kind, const SysConfig &cfg,
-              const AddressMapper &mapper, std::uint64_t seed)
+} // namespace
+
+// The built-in attacks, in the order names() lists them.
+AttackRegistry::AttackRegistry() : NamedRegistry("attack")
 {
-    switch (kind) {
-      case AttackKind::None:
-        return nullptr;
-      case AttackKind::CacheThrash:
-        return std::make_unique<CacheThrashGen>(cfg, mapper, seed);
-      case AttackKind::HydraRcc:
-        return std::make_unique<HydraRccGen>(cfg, mapper, seed);
-      case AttackKind::StartStream:
-        return std::make_unique<StreamingGen>(cfg, mapper, seed, true);
-      case AttackKind::CometRat:
-        return std::make_unique<CometRatGen>(cfg, mapper, seed);
-      case AttackKind::AbacusSpill:
-        return std::make_unique<AbacusSpillGen>(cfg, mapper, seed);
-      case AttackKind::Streaming:
-        return std::make_unique<StreamingGen>(cfg, mapper, seed, false);
-      case AttackKind::RefreshAttack:
-        return std::make_unique<RefreshAttackGen>(cfg, mapper, seed);
-      case AttackKind::MappingProbe:
-        return std::make_unique<MappingProbeGen>(cfg, mapper, seed);
-    }
-    throw std::invalid_argument("bad AttackKind");
+    add({.name = "none",
+         .make = [](const SysConfig &, const AddressMapper &,
+                    std::uint64_t) -> std::unique_ptr<TraceGen> {
+             return nullptr; // No attacker core.
+         }});
+    add({.name = "cache-thrash", .make = generator<CacheThrashGen>()});
+    add({.name = "hydra-rcc", .make = generator<HydraRccGen>()});
+    add({.name = "start-stream", .make = generator<StreamingGen>(true)});
+    add({.name = "comet-rat", .make = generator<CometRatGen>()});
+    add({.name = "abacus-spill", .make = generator<AbacusSpillGen>()});
+    add({.name = "streaming", .make = generator<StreamingGen>(false)});
+    add({.name = "refresh", .make = generator<RefreshAttackGen>()});
+    add({.name = "mapping-probe", .make = generator<MappingProbeGen>()});
 }
 
 } // namespace dapper

@@ -26,7 +26,6 @@
 
 #include <functional>
 #include <memory>
-#include <optional>
 #include <string>
 
 #include "src/common/config.hh"
@@ -35,22 +34,16 @@
 
 namespace dapper {
 
-enum class WorkloadKind
-{
-    Synthetic, ///< Parameterized generator (BenignGen).
-    Trace,     ///< DTR trace replay (src/trace/replay.hh).
-};
-
 /** One registered workload: stable name, capability metadata, factory. */
 struct WorkloadInfo
 {
     /// Stable CLI / JSON name ("429.mcf", "trace-gc"). Must not contain
     /// '+', which joins per-core workload lists into one canonical name.
     std::string name;
-    std::optional<WorkloadKind> kind;
     /// Suite for synthetic workloads, source description for traces.
     std::string description;
-    /// Capability: replays a checked-in / captured DTR trace.
+    /// Capability: replays a checked-in / captured DTR trace
+    /// (src/trace/replay.hh); false for a synthetic BenignGen.
     bool isTrace = false;
     /// Build one core's generator. Seed-pure (see file comment).
     std::function<std::unique_ptr<TraceGen>(
@@ -62,7 +55,7 @@ struct WorkloadInfo
  * Name -> WorkloadInfo registry (mechanics in src/common/registry.hh).
  * Entry addresses are stable for the process lifetime.
  */
-class WorkloadRegistry : public NamedRegistry<WorkloadInfo, WorkloadKind>
+class WorkloadRegistry : public NamedRegistry<WorkloadInfo>
 {
   public:
     static WorkloadRegistry &instance();

@@ -25,14 +25,12 @@ fastCfg()
 TEST(Integration, BaselineIpcIsSane)
 {
     SysConfig cfg = fastCfg();
-    const RunResult r = runOnce(cfg, "456.hmmer", AttackKind::None,
-                                TrackerKind::None, 500000);
+    const RunResult r = runOnce(cfg, "456.hmmer", "none", "none", 500000);
     // Compute-bound: IPC must approach the 4-wide limit.
     EXPECT_GT(r.benignIpcMean, 2.5);
     EXPECT_LE(r.benignIpcMean, 4.0);
 
-    const RunResult m = runOnce(cfg, "429.mcf", AttackKind::None,
-                                TrackerKind::None, 500000);
+    const RunResult m = runOnce(cfg, "429.mcf", "none", "none", 500000);
     EXPECT_GT(m.benignIpcMean, 0.1);
     EXPECT_LT(m.benignIpcMean, 1.5); // Memory-bound.
 }
@@ -40,19 +38,17 @@ TEST(Integration, BaselineIpcIsSane)
 TEST(Integration, AttackerReducesBenignPerformance)
 {
     SysConfig cfg = fastCfg();
-    const RunResult base = runOnce(cfg, "429.mcf", AttackKind::None,
-                                   TrackerKind::None, 500000);
+    const RunResult base = runOnce(cfg, "429.mcf", "none", "none", 500000);
     const RunResult attacked =
-        runOnce(cfg, "429.mcf", AttackKind::RefreshAttack,
-                TrackerKind::None, 500000);
+        runOnce(cfg, "429.mcf", "refresh", "none", 500000);
     EXPECT_LT(attacked.benignIpcMean, base.benignIpcMean);
 }
 
 TEST(Integration, UnprotectedSystemAccumulatesDamage)
 {
     SysConfig cfg = fastCfg();
-    const RunResult r = runOnce(cfg, "456.hmmer", AttackKind::RefreshAttack,
-                                TrackerKind::None, cfg.tREFW() / 2);
+    const RunResult r = runOnce(cfg, "456.hmmer", "refresh",
+                                "none", cfg.tREFW() / 2);
     // Half a window of hammering: ground truth shows deep damage.
     EXPECT_GT(r.maxDamage, static_cast<std::uint32_t>(cfg.nRH) / 2);
 }
@@ -61,8 +57,8 @@ TEST(Integration, DapperHPreventsRowHammerUnderAttack)
 {
     SysConfig cfg = fastCfg();
     const RunResult r =
-        runOnce(cfg, "456.hmmer", AttackKind::RefreshAttack,
-                TrackerKind::DapperH, cfg.tREFW() + cfg.tREFW() / 2);
+        runOnce(cfg, "456.hmmer", "refresh",
+                "dapper-h", cfg.tREFW() + cfg.tREFW() / 2);
     EXPECT_EQ(r.rhViolations, 0u);
     EXPECT_LT(r.maxDamage, static_cast<std::uint32_t>(cfg.nRH));
     EXPECT_GT(r.mitigations, 0u);
@@ -71,8 +67,8 @@ TEST(Integration, DapperHPreventsRowHammerUnderAttack)
 TEST(Integration, DapperHBitVectorNeutralizesStreaming)
 {
     SysConfig cfg = fastCfg();
-    const RunResult r = runOnce(cfg, "456.hmmer", AttackKind::Streaming,
-                                TrackerKind::DapperH, cfg.tREFW());
+    const RunResult r = runOnce(cfg, "456.hmmer", "streaming",
+                                "dapper-h", cfg.tREFW());
     EXPECT_EQ(r.rhViolations, 0u);
     EXPECT_EQ(r.mitigations, 0u); // The filter absorbs the sweep.
 }
@@ -80,16 +76,16 @@ TEST(Integration, DapperHBitVectorNeutralizesStreaming)
 TEST(Integration, HydraAttackGeneratesCounterTraffic)
 {
     SysConfig cfg = fastCfg();
-    const RunResult r = runOnce(cfg, "429.mcf", AttackKind::HydraRcc,
-                                TrackerKind::Hydra, cfg.tREFW() / 2);
+    const RunResult r = runOnce(cfg, "429.mcf", "hydra-rcc",
+                                "hydra", cfg.tREFW() / 2);
     EXPECT_GT(r.counterTraffic, 1000u);
 }
 
 TEST(Integration, CometAttackForcesBulkResets)
 {
     SysConfig cfg = fastCfg();
-    const RunResult r = runOnce(cfg, "429.mcf", AttackKind::CometRat,
-                                TrackerKind::Comet, cfg.tREFW());
+    const RunResult r = runOnce(cfg, "429.mcf", "comet-rat",
+                                "comet", cfg.tREFW());
     EXPECT_GT(r.bulkResets, 0u);
 }
 
@@ -101,9 +97,9 @@ TEST(Integration, StartReservesHalfTheLlc)
     for (int i = 0; i < cfg.numCores; ++i)
         gens.push_back(std::make_unique<BenignGen>(
             findWorkload("429.mcf"), cfg, i, 7));
-    System sys(cfg, TrackerKind::Start, std::move(gens));
+    System sys(cfg, TrackerRegistry::instance().at("start"), std::move(gens));
     EXPECT_EQ(sys.llc().reservedWays(), cfg.llcWays / 2);
-    System plain(cfg, TrackerKind::None, [] {
+    System plain(cfg, TrackerRegistry::instance().at("none"), [] {
         SysConfig c;
         c.timeScale = 32.0;
         std::vector<std::unique_ptr<TraceGen>> g;
@@ -118,11 +114,10 @@ TEST(Integration, StartReservesHalfTheLlc)
 TEST(Integration, EnergyAccumulatesAndMitigationCostsShow)
 {
     SysConfig cfg = fastCfg();
-    const RunResult base = runOnce(cfg, "429.mcf", AttackKind::None,
-                                   TrackerKind::None, cfg.tREFW());
+    const RunResult base = runOnce(cfg, "429.mcf", "none",
+                                   "none", cfg.tREFW());
     const RunResult attacked =
-        runOnce(cfg, "429.mcf", AttackKind::RefreshAttack,
-                TrackerKind::DapperS, cfg.tREFW());
+        runOnce(cfg, "429.mcf", "refresh", "dapper-s", cfg.tREFW());
     EXPECT_GT(base.energyNj, 0.0);
     EXPECT_GT(attacked.energyNj, base.energyNj * 0.5);
     EXPECT_GT(attacked.mitigations, 0u);
@@ -147,10 +142,8 @@ TEST(Integration, RunnerBaselineConventions)
 TEST(Integration, DeterministicAcrossRuns)
 {
     SysConfig cfg = fastCfg();
-    const RunResult a = runOnce(cfg, "ycsb-a", AttackKind::RefreshAttack,
-                                TrackerKind::DapperH, 300000);
-    const RunResult b = runOnce(cfg, "ycsb-a", AttackKind::RefreshAttack,
-                                TrackerKind::DapperH, 300000);
+    const RunResult a = runOnce(cfg, "ycsb-a", "refresh", "dapper-h", 300000);
+    const RunResult b = runOnce(cfg, "ycsb-a", "refresh", "dapper-h", 300000);
     EXPECT_EQ(a.benignIpcMean, b.benignIpcMean);
     EXPECT_EQ(a.mitigations, b.mitigations);
     EXPECT_EQ(a.activations, b.activations);
@@ -160,8 +153,8 @@ TEST(Integration, EightChannelConfigRuns)
 {
     SysConfig cfg = fastCfg();
     cfg.channels = 8;
-    const RunResult r = runOnce(cfg, "429.mcf", AttackKind::CacheThrash,
-                                TrackerKind::None, 300000);
+    const RunResult r = runOnce(cfg, "429.mcf", "cache-thrash",
+                                "none", 300000);
     EXPECT_GT(r.benignIpcMean, 0.0);
 }
 
@@ -169,11 +162,9 @@ TEST(Integration, DrfmVariantBlocksMoreThanVrr)
 {
     SysConfig cfg = fastCfg();
     const RunResult vrr =
-        runOnce(cfg, "429.mcf", AttackKind::RefreshAttack,
-                TrackerKind::DapperH, cfg.tREFW());
+        runOnce(cfg, "429.mcf", "refresh", "dapper-h", cfg.tREFW());
     const RunResult drfm =
-        runOnce(cfg, "429.mcf", AttackKind::RefreshAttack,
-                TrackerKind::DapperHDrfmSb, cfg.tREFW());
+        runOnce(cfg, "429.mcf", "refresh", "dapper-h-drfmsb", cfg.tREFW());
     // Same-bank DRFM penalizes eight banks per mitigation: performance
     // can only be equal or worse.
     EXPECT_LE(drfm.benignIpcMean, vrr.benignIpcMean * 1.02);

@@ -1,7 +1,8 @@
 /**
  * @file
  * Remaining unit coverage: RNG, stats helpers, energy model, tracker
- * factory, Graphene, and the PrIDE/PARA command-variant plumbing.
+ * construction through the registry, Graphene, and the PrIDE/PARA
+ * command-variant plumbing.
  */
 
 #include <gtest/gtest.h>
@@ -15,8 +16,8 @@
 #include "src/common/rng.hh"
 #include "src/common/stats.hh"
 #include "src/energy/energy_model.hh"
-#include "src/rh/factory.hh"
 #include "src/rh/graphene.hh"
+#include "src/rh/registry.hh"
 
 namespace dapper {
 namespace {
@@ -332,50 +333,47 @@ TEST(Energy, MitigationShareExcludesDemand)
     EXPECT_GT(energy.mitigationNj(), 0.0);
 }
 
-TEST(Factory, EveryKindConstructsAndNames)
+/** Build registered tracker @p name the way System does: adjust the
+ *  config first, then construct against it. */
+std::unique_ptr<Tracker>
+buildTracker(const std::string &name, SysConfig &cfg)
 {
-    const TrackerKind kinds[] = {
-        TrackerKind::Para,        TrackerKind::ParaDrfmSb,
-        TrackerKind::Pride,       TrackerKind::PrideRfmSb,
-        TrackerKind::Prac,        TrackerKind::BlockHammer,
-        TrackerKind::Hydra,       TrackerKind::Comet,
-        TrackerKind::Abacus,      TrackerKind::Graphene,
-        TrackerKind::DapperS,     TrackerKind::DapperH,
-        TrackerKind::DapperHBr2,  TrackerKind::DapperHDrfmSb,
-        TrackerKind::DapperHNoBitVector,
-    };
-    for (TrackerKind kind : kinds) {
+    const TrackerInfo &info = TrackerRegistry::instance().at(name);
+    info.adjustConfig(cfg);
+    return info.make(cfg, nullptr);
+}
+
+TEST(Factory, EveryTrackerConstructsAndNames)
+{
+    for (const TrackerInfo *info : TrackerRegistry::instance().entries()) {
         SysConfig cfg;
-        auto tracker = makeTracker(kind, cfg, nullptr);
-        ASSERT_NE(tracker, nullptr) << trackerName(kind);
+        auto tracker = buildTracker(info->name, cfg);
+        if (info->isNone()) {
+            EXPECT_EQ(tracker, nullptr);
+            continue;
+        }
+        ASSERT_NE(tracker, nullptr) << info->name;
         EXPECT_FALSE(tracker->name().empty());
         EXPECT_GE(tracker->storage().sramKB, 0.0);
     }
-    SysConfig cfg;
-    EXPECT_EQ(makeTracker(TrackerKind::None, cfg, nullptr), nullptr);
 }
 
 TEST(Factory, VariantsAdjustConfig)
 {
-    SysConfig cfg;
-    adjustConfigFor(TrackerKind::DapperHDrfmSb, cfg);
-    EXPECT_EQ(cfg.mitigationCmd, SysConfig::MitigationCmd::DrfmSb);
+    auto adjusted = [](const char *name) {
+        SysConfig cfg;
+        TrackerRegistry::instance().at(name).adjustConfig(cfg);
+        return cfg;
+    };
+    EXPECT_EQ(adjusted("dapper-h-drfmsb").mitigationCmd,
+              SysConfig::MitigationCmd::DrfmSb);
+    EXPECT_EQ(adjusted("para-drfmsb").mitigationCmd,
+              SysConfig::MitigationCmd::DrfmSb);
+    EXPECT_EQ(adjusted("dapper-h-br2").blastRadius, 2);
 
-    SysConfig cfg2;
-    adjustConfigFor(TrackerKind::DapperHBr2, cfg2);
-    EXPECT_EQ(cfg2.blastRadius, 2);
-
-    SysConfig cfg3;
-    adjustConfigFor(TrackerKind::DapperH, cfg3);
-    EXPECT_EQ(cfg3.blastRadius, 1);
-    EXPECT_EQ(cfg3.mitigationCmd, SysConfig::MitigationCmd::Vrr);
-}
-
-TEST(Factory, OnlyStartReservesLlc)
-{
-    EXPECT_TRUE(reservesLlc(TrackerKind::Start));
-    EXPECT_FALSE(reservesLlc(TrackerKind::Hydra));
-    EXPECT_FALSE(reservesLlc(TrackerKind::DapperH));
+    const SysConfig plain = adjusted("dapper-h");
+    EXPECT_EQ(plain.blastRadius, 1);
+    EXPECT_EQ(plain.mitigationCmd, SysConfig::MitigationCmd::Vrr);
 }
 
 TEST(Graphene, ExactTrackingMitigatesAtThreshold)
@@ -414,7 +412,7 @@ TEST(Graphene, StorageScalesWorseThanDapper)
     cfg.timeScale = 1.0;
     GrapheneTracker graphene(cfg);
     SysConfig cfg2 = cfg;
-    auto dapperH = makeTracker(TrackerKind::DapperH, cfg2, nullptr);
+    auto dapperH = buildTracker("dapper-h", cfg2);
     // Per-bank worst-case tables dwarf DAPPER-H's shared RGCs, and the
     // CAM content is the expensive part.
     EXPECT_GT(graphene.storage().sramKB + graphene.storage().camKB,

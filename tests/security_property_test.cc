@@ -15,7 +15,7 @@
 #include <map>
 #include <memory>
 
-#include "src/rh/factory.hh"
+#include "src/rh/registry.hh"
 
 namespace dapper {
 namespace {
@@ -103,14 +103,31 @@ enum class Pattern
 
 struct Case
 {
-    TrackerKind tracker;
+    const char *tracker; ///< Registry name.
     Pattern pattern;
 };
+
+/** Registered tracker @p name, built the way System builds it: the
+ *  config is adjusted first (blast radius, command flavour), so @p cfg
+ *  is what the DamageModel must see too. */
+std::unique_ptr<Tracker>
+buildTracker(const char *name, SysConfig &cfg)
+{
+    const TrackerInfo &info = TrackerRegistry::instance().at(name);
+    info.adjustConfig(cfg);
+    return info.make(cfg, nullptr);
+}
+
+std::string
+displayName(const char *tracker)
+{
+    return TrackerRegistry::instance().at(tracker).displayName;
+}
 
 std::string
 caseName(const ::testing::TestParamInfo<Case> &info)
 {
-    std::string name = trackerName(info.param.tracker);
+    std::string name = displayName(info.param.tracker);
     for (auto &ch : name)
         if (!isalnum(static_cast<unsigned char>(ch)))
             ch = '_';
@@ -134,7 +151,7 @@ TEST_P(SecurityPropertyTest, NoVictimReachesThresholdWithinWindow)
     cfg.nRH = 500;
     cfg.timeScale = 16.0;
     const Case param = GetParam();
-    auto tracker = makeTracker(param.tracker, cfg, nullptr);
+    auto tracker = buildTracker(param.tracker, cfg);
     ASSERT_NE(tracker, nullptr);
 
     DamageModel damage(cfg);
@@ -214,26 +231,24 @@ TEST_P(SecurityPropertyTest, NoVictimReachesThresholdWithinWindow)
     }
 
     EXPECT_LT(damage.maxDamage(), static_cast<std::uint32_t>(cfg.nRH))
-        << trackerName(param.tracker) << " failed to prevent RowHammer";
+        << displayName(param.tracker) << " failed to prevent RowHammer";
 }
 
 std::vector<Case>
 allCases()
 {
     std::vector<Case> cases;
-    const TrackerKind trackers[] = {
-        TrackerKind::Hydra,   TrackerKind::Comet,
-        TrackerKind::Abacus,  TrackerKind::Graphene,
-        TrackerKind::DapperS, TrackerKind::DapperH,
-        TrackerKind::DapperHBr2, TrackerKind::Prac,
-        TrackerKind::BlockHammer,
+    const char *const trackers[] = {
+        "hydra",    "comet",    "abacus",       "graphene",
+        "dapper-s", "dapper-h", "dapper-h-br2", "prac",
+        "blockhammer",
     };
     const Pattern patterns[] = {
         Pattern::SingleRowHammer, Pattern::DoubleSided,
         Pattern::RefreshAttack16, Pattern::ManyRowRoundRobin,
         Pattern::NewRowEveryAct,
     };
-    for (TrackerKind t : trackers)
+    for (const char *t : trackers)
         for (Pattern p : patterns)
             cases.push_back({t, p});
     return cases;
@@ -252,7 +267,7 @@ TEST_P(DapperThresholdTest, DapperHSafeAcrossThresholds)
     SysConfig cfg;
     cfg.nRH = GetParam();
     cfg.timeScale = 16.0;
-    auto tracker = makeTracker(TrackerKind::DapperH, cfg, nullptr);
+    auto tracker = buildTracker("dapper-h", cfg);
     DamageModel damage(cfg);
     MitigationVec out;
 

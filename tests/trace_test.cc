@@ -315,11 +315,9 @@ TEST(WorkloadRegistryTest, SyntheticPopulationAndTracesShareOneNamespace)
     // The full synthetic population is registered...
     EXPECT_GE(reg.names().size(), 57u + 4u);
     const WorkloadInfo &mcf = reg.at("429.mcf");
-    EXPECT_EQ(mcf.kind, WorkloadKind::Synthetic);
     EXPECT_FALSE(mcf.isTrace);
     // ...alongside the checked-in trace workloads.
     const WorkloadInfo &gc = reg.at("trace-gc");
-    EXPECT_EQ(gc.kind, WorkloadKind::Trace);
     EXPECT_TRUE(gc.isTrace);
     EXPECT_THROW(reg.at("no-such-workload"), std::invalid_argument);
 }
@@ -417,8 +415,7 @@ TEST(TraceDifferential, CapturedTraceReplaysBitIdenticalToLiveGenerator)
     const Tick horizon = 200000;
     const std::string workload = "462.libquantum";
 
-    const RunResult live = runOnce(cfg, workload, AttackKind::None,
-                                   TrackerKind::DapperH, horizon,
+    const RunResult live = runOnce(cfg, workload, "none", "dapper-h", horizon,
                                    Engine::Event);
 
     // Capture each core's stream with the exact runOnce seeding; size

@@ -9,7 +9,7 @@
 
 #include <set>
 
-#include "src/workload/attacks.hh"
+#include "src/workload/attack_registry.hh"
 #include "src/workload/benign.hh"
 
 namespace dapper {
@@ -123,13 +123,21 @@ class AttackPatternTest : public ::testing::Test
 {
   protected:
     AttackPatternTest() : mapper_(cfg_) {}
+
+    /** The registered generator for attack @p name, seed 1. */
+    std::unique_ptr<TraceGen>
+    makeGen(const std::string &name) const
+    {
+        return AttackRegistry::instance().at(name).make(cfg_, mapper_, 1);
+    }
+
     SysConfig cfg_;
     AddressMapper mapper_{cfg_};
 };
 
 TEST_F(AttackPatternTest, HydraRccTargetsOneRccSet)
 {
-    auto gen = makeAttackGen(AttackKind::HydraRcc, cfg_, mapper_, 1);
+    auto gen = makeGen("hydra-rcc");
     std::set<int> rowsMod128;
     std::set<int> banks;
     for (int i = 0; i < 256; ++i) {
@@ -143,7 +151,7 @@ TEST_F(AttackPatternTest, HydraRccTargetsOneRccSet)
 
 TEST_F(AttackPatternTest, StreamingCoversManyRows)
 {
-    auto gen = makeAttackGen(AttackKind::Streaming, cfg_, mapper_, 1);
+    auto gen = makeGen("streaming");
     std::set<std::uint64_t> rows;
     for (int i = 0; i < 50000; ++i) {
         const TraceRecord rec = gen->next();
@@ -159,7 +167,7 @@ TEST_F(AttackPatternTest, StreamingCoversManyRows)
 
 TEST_F(AttackPatternTest, CometRatCyclesExactly192Rows)
 {
-    auto gen = makeAttackGen(AttackKind::CometRat, cfg_, mapper_, 1);
+    auto gen = makeGen("comet-rat");
     std::set<std::uint64_t> unique;
     for (int i = 0; i < 2000; ++i) {
         const DramAddress d = mapper_.decode(gen->next().addr);
@@ -172,7 +180,7 @@ TEST_F(AttackPatternTest, CometRatCyclesExactly192Rows)
 
 TEST_F(AttackPatternTest, RefreshAttackAlternatesTwoRowsPerBank)
 {
-    auto gen = makeAttackGen(AttackKind::RefreshAttack, cfg_, mapper_, 1);
+    auto gen = makeGen("refresh");
     std::map<int, std::set<int>> rowsPerBank;
     for (int i = 0; i < 4096; ++i) {
         const DramAddress d = mapper_.decode(gen->next().addr);
@@ -186,7 +194,7 @@ TEST_F(AttackPatternTest, RefreshAttackAlternatesTwoRowsPerBank)
 
 TEST_F(AttackPatternTest, CacheThrashStaysCached)
 {
-    auto gen = makeAttackGen(AttackKind::CacheThrash, cfg_, mapper_, 1);
+    auto gen = makeGen("cache-thrash");
     std::set<std::uint64_t> lines;
     for (int i = 0; i < 100000; ++i) {
         const TraceRecord rec = gen->next();
@@ -199,15 +207,13 @@ TEST_F(AttackPatternTest, CacheThrashStaysCached)
     EXPECT_EQ(lines.size(), std::min<std::uint64_t>(100000, sweep));
 }
 
-TEST_F(AttackPatternTest, AttackNamesRoundTrip)
+TEST_F(AttackPatternTest, EveryAttackBuildsExceptNone)
 {
-    for (AttackKind kind :
-         {AttackKind::None, AttackKind::CacheThrash, AttackKind::HydraRcc,
-          AttackKind::StartStream, AttackKind::CometRat,
-          AttackKind::AbacusSpill, AttackKind::Streaming,
-          AttackKind::RefreshAttack, AttackKind::MappingProbe})
-        EXPECT_FALSE(attackName(kind).empty());
-    EXPECT_EQ(makeAttackGen(AttackKind::None, cfg_, mapper_, 1), nullptr);
+    for (const AttackInfo *info : AttackRegistry::instance().entries()) {
+        EXPECT_FALSE(info->name.empty());
+        EXPECT_EQ(makeGen(info->name) == nullptr, info->isNone())
+            << info->name;
+    }
 }
 
 } // namespace

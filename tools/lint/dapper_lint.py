@@ -18,7 +18,8 @@ Rules (see tools/lint/README.md for the full contract):
   raw-assert         no bare assert() where DAPPER_CHECK is required:
                      data-integrity guards must survive NDEBUG builds.
   registry-only      no direct construction of concrete tracker / attack /
-                     workload types outside their own TU, factory.cc, or a
+                     workload types outside their own TU, the built-in
+                     tracker table (src/rh/registry.cc), or a
                      DAPPER_REGISTER_* site.
   static-init-order  no namespace-scope non-constinit static with a
                      dynamic initializer (the PR 8 benign.cc bug class —
@@ -315,18 +316,18 @@ def rule_registry_only(sf: SourceFile, inv: Inventory):
             decl_stem = os.path.splitext(os.path.basename(decl))[0]
             if stem == decl_stem:
                 continue  # own TU (foo.cc constructing types from foo.hh)
-            if basename == "factory.cc":
-                continue
+            if sf.rel.endswith("src/rh/registry.cc"):
+                continue  # the built-in tracker table
             line = line_of(t, m.start())
             if sf.in_register_region(line):
                 continue
             finds.append(Finding(sf.rel, line, "registry-only",
                                  f"direct construction of concrete type "
                                  f"`{name}` (declared in {decl}) outside its "
-                                 "own TU / factory.cc / a DAPPER_REGISTER_* "
-                                 "site; go through the registry so names, "
-                                 "capabilities and fingerprints stay in "
-                                 "sync"))
+                                 "own TU / src/rh/registry.cc / a "
+                                 "DAPPER_REGISTER_* site; go through the "
+                                 "registry so names, capabilities and "
+                                 "fingerprints stay in sync"))
     return finds
 
 

@@ -11,7 +11,7 @@ namespace fixture {
 std::unique_ptr<Tracker>
 sidestepRegistry()
 {
-    return std::make_unique<FixtureTracker>(); // BAD: not own TU/factory
+    return std::make_unique<FixtureTracker>(); // BAD: not own TU/table
 }
 
 Tracker *
