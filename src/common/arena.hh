@@ -12,6 +12,14 @@
  *    so elements never move between blocks and nothing allocates
  *    after construction. erase() shifts whichever side of the hole is
  *    shorter, preserving order exactly like std::deque::erase.
+ *    The ring storage is raw, uninitialized memory: a slot holds an
+ *    object only once a push has copied one in. Building a ring is
+ *    then O(1) whatever its capacity (each memory controller owns
+ *    three, 5,120 64-byte Requests in all, and a System is built per
+ *    scenario cell). That is only sound for trivially copyable,
+ *    trivially destructible T, which a static_assert enforces: a push
+ *    into a never-constructed slot is a plain copy, and popped or
+ *    erased slots need no destructor call.
  *
  *  - FreeListArena<T>: an index-addressed object pool with an
  *    intrusive free list. alloc() returns a stable std::int32_t handle
@@ -27,6 +35,9 @@
 #include <cstddef>
 #include <cstdint>
 #include <iterator>
+#include <memory>
+#include <new>
+#include <type_traits>
 #include <utility>
 #include <vector>
 
@@ -37,6 +48,13 @@ namespace dapper {
 template <typename T>
 class RingDeque
 {
+    static_assert(std::is_trivially_copyable_v<T> &&
+                      std::is_trivially_destructible_v<T>,
+                  "RingDeque storage is uninitialized: T must be "
+                  "trivially copyable and trivially destructible");
+    static_assert(alignof(T) <= __STDCPP_DEFAULT_NEW_ALIGNMENT__,
+                  "RingDeque storage comes from plain operator new");
+
   public:
     /** Holds at most @p capacity elements (rounded up to a power of
      *  two internally; the stated bound is what callers may rely on). */
@@ -46,7 +64,7 @@ class RingDeque
         while (cap < capacity)
             cap <<= 1;
         mask_ = cap - 1;
-        buf_.resize(cap);
+        buf_.reset(static_cast<T *>(::operator new(cap * sizeof(T))));
     }
 
     std::size_t size() const { return size_; }
@@ -66,7 +84,7 @@ class RingDeque
     push_back(const T &v)
     {
         DAPPER_CHECK(size_ <= mask_, "RingDeque: full");
-        buf_[(head_ + size_) & mask_] = v;
+        ::new (static_cast<void *>(&buf_[(head_ + size_) & mask_])) T(v);
         ++size_;
     }
 
@@ -75,7 +93,7 @@ class RingDeque
     {
         DAPPER_CHECK(size_ <= mask_, "RingDeque: full");
         head_ = (head_ + mask_) & mask_;
-        buf_[head_] = v;
+        ::new (static_cast<void *>(&buf_[head_])) T(v);
         ++size_;
     }
 
@@ -189,10 +207,15 @@ class RingDeque
     }
 
   private:
+    struct RawDelete
+    {
+        void operator()(T *p) const { ::operator delete(p); }
+    };
+
     std::size_t mask_ = 0;
     std::size_t head_ = 0;
     std::size_t size_ = 0;
-    std::vector<T> buf_;
+    std::unique_ptr<T[], RawDelete> buf_; ///< Uninitialized slots.
 };
 
 template <typename T>

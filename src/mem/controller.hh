@@ -98,7 +98,7 @@ struct MemControllerStats
     Tick busyBlockedTicks = 0;
     /// 64-bit read-latency accumulation; at one read per ~10 ticks a
     /// 32-bit sum would wrap within a scaled tREFW, so the drain path
-    /// asserts headroom before adding (debug builds).
+    /// checks headroom before adding (a DAPPER_CHECK: every build).
     std::uint64_t readLatencySum = 0;
     std::uint64_t readLatencyCount = 0;
     LatencyReservoir readLatency;

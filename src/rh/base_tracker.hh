@@ -70,6 +70,15 @@ class BaseTracker : public Tracker
                    static_cast<std::uint64_t>(cfg_.rowsPerBank) + row;
     }
 
+    /** Machine-wide row index, [channel][rank][bank][row]: the index of
+     *  a per-row table that spans every rank. */
+    std::uint64_t
+    flatRowId(int rankIdx, std::uint64_t rowId) const
+    {
+        return static_cast<std::uint64_t>(rankIdx) * cfg_.rowsPerRank() +
+               rowId;
+    }
+
     void
     fromRankRowId(std::uint64_t rowId, int &bank, int &row) const
     {

@@ -219,7 +219,7 @@ class GroundTruth
     int sliceCount_; ///< ceil(rowsPerBank / sliceRows): REFs per sweep
     int sliceShift_; ///< log2(sliceRows) when a power of two, else -1
 
-    /// Flat [channel][rank][bank][row] damage cells. calloc-backed:
+    /// Flat [channel][rank][bank][row] damage cells. Page-backed:
     /// construction is O(1) and untouched banks stay unmapped (a System
     /// is built per scenario run, so eager zeroing shows up in bench
     /// profiles).

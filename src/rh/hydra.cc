@@ -16,10 +16,10 @@ HydraTracker::HydraTracker(const SysConfig &cfg) : BaseTracker(cfg)
     for (auto &rs : ranks_) {
         rs.gct.assign(groups, 0);
         rs.perRow.assign(groups, false);
-        rs.rct.assign(cfg.rowsPerRank(), 0);
         rs.rcc.assign(static_cast<std::size_t>(rccSets_) * kRccWays,
                       RccEntry{});
     }
+    rct_.reset(ranks_.size() * cfg.rowsPerRank());
 }
 
 void
@@ -40,8 +40,8 @@ HydraTracker::counterLocation(std::uint64_t rowId, int &bank, int &row) const
 void
 HydraTracker::onActivation(const ActEvent &e, MitigationVec &out)
 {
-    RankState &rs = ranks_[static_cast<std::size_t>(
-        rankIndex(e.channel, e.rank))];
+    const int ri = rankIndex(e.channel, e.rank);
+    RankState &rs = ranks_[static_cast<std::size_t>(ri)];
     const std::uint64_t rowId = rankRowId(e.bank, e.row);
     const std::uint64_t group = rowId / kGroupSize;
 
@@ -51,9 +51,9 @@ HydraTracker::onActivation(const ActEvent &e, MitigationVec &out)
         // Escalate to per-row tracking; rows start at the group count
         // (conservative: any row may have contributed all of it).
         rs.perRow[group] = true;
-        const std::uint64_t base = group * kGroupSize;
+        const std::uint64_t base = flatRowId(ri, group * kGroupSize);
         for (int i = 0; i < kGroupSize; ++i)
-            rs.rct[base + static_cast<std::uint64_t>(i)] =
+            rct_[base + static_cast<std::uint64_t>(i)] =
                 static_cast<std::uint16_t>(nGC_);
     }
 
@@ -101,7 +101,7 @@ HydraTracker::onActivation(const ActEvent &e, MitigationVec &out)
     }
 
     entry->dirty = true;
-    auto &cnt = rs.rct[rowId];
+    auto &cnt = rct_[flatRowId(ri, rowId)];
     if (++cnt >= nM_) {
         out.push_back(victimRefresh(e.channel, e.rank, e.bank, e.row));
         cnt = 0;
@@ -118,11 +118,10 @@ HydraTracker::onRefreshWindow(Tick now, MitigationVec &out)
         std::memset(rs.gct.data(), 0,
                     rs.gct.size() * sizeof(std::uint16_t));
         std::fill(rs.perRow.begin(), rs.perRow.end(), false);
-        std::memset(rs.rct.data(), 0,
-                    rs.rct.size() * sizeof(std::uint16_t));
         for (auto &entry : rs.rcc)
             entry = RccEntry{};
     }
+    rct_.clear();
 }
 
 StorageEstimate
@@ -140,8 +139,7 @@ HydraTracker::storage() const
 std::uint32_t
 HydraTracker::rctCount(int channel, int rank, std::uint64_t rowId) const
 {
-    return ranks_[static_cast<std::size_t>(rankIndex(channel, rank))]
-        .rct[rowId];
+    return rct_[flatRowId(rankIndex(channel, rank), rowId)];
 }
 
 bool

@@ -16,6 +16,7 @@
 
 #include <vector>
 
+#include "src/common/zeroed_buffer.hh"
 #include "src/rh/base_tracker.hh"
 
 namespace dapper {
@@ -56,7 +57,6 @@ class HydraTracker : public BaseTracker
     {
         std::vector<std::uint16_t> gct;    ///< Group counters.
         std::vector<bool> perRow;          ///< Group escalated to per-row.
-        std::vector<std::uint16_t> rct;    ///< Authoritative row counters.
         std::vector<RccEntry> rcc;         ///< sets x ways.
     };
 
@@ -66,6 +66,9 @@ class HydraTracker : public BaseTracker
     int rccSets_;
     int nGC_;
     std::vector<RankState> ranks_; ///< Per (channel, rank).
+    /// Authoritative row counters by flatRowId; page-backed, so build
+    /// and window reset cost O(touched pages).
+    ZeroedBuffer<std::uint16_t> rct_;
     std::uint64_t rccHits_ = 0;
     std::uint64_t rccMisses_ = 0;
 };

@@ -1,24 +1,18 @@
 #include "src/rh/prac.hh"
 
-#include <cstring>
-
 namespace dapper {
 
 PracTracker::PracTracker(const SysConfig &cfg) : BaseTracker(cfg)
 {
-    const int banksTotal =
-        cfg.channels * cfg.ranksPerChannel * cfg.banksPerRank();
-    counters_.resize(static_cast<std::size_t>(banksTotal));
-    for (auto &vec : counters_)
-        vec.assign(static_cast<std::size_t>(cfg.rowsPerBank), 0);
+    counters_.reset(static_cast<std::size_t>(cfg.channels) *
+                    cfg.ranksPerChannel * cfg.rowsPerRank());
 }
 
 void
 PracTracker::onActivation(const ActEvent &e, MitigationVec &out)
 {
-    auto &cnt = counters_[static_cast<std::size_t>(
-        bankIndex(e.channel, e.rank, e.bank))]
-                         [static_cast<std::size_t>(e.row)];
+    auto &cnt = counters_[flatRowId(rankIndex(e.channel, e.rank),
+                                    rankRowId(e.bank, e.row))];
     if (++cnt >= nM_) {
         // QPRAC services mitigations from a proactive queue during
         // regular refresh opportunities; the channel-stalling ALERT
@@ -37,15 +31,14 @@ PracTracker::onRefreshWindow(Tick now, MitigationVec &out)
 {
     (void)now;
     (void)out;
-    for (auto &vec : counters_)
-        std::memset(vec.data(), 0, vec.size() * sizeof(std::uint16_t));
+    counters_.clear();
 }
 
 std::uint32_t
 PracTracker::counterOf(int channel, int rank, int bank, int row) const
 {
-    return counters_[static_cast<std::size_t>(
-        bankIndex(channel, rank, bank))][static_cast<std::size_t>(row)];
+    return counters_[flatRowId(rankIndex(channel, rank),
+                               rankRowId(bank, row))];
 }
 
 } // namespace dapper

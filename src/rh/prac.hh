@@ -14,8 +14,7 @@
 #ifndef DAPPER_RH_PRAC_HH
 #define DAPPER_RH_PRAC_HH
 
-#include <vector>
-
+#include "src/common/zeroed_buffer.hh"
 #include "src/rh/base_tracker.hh"
 
 namespace dapper {
@@ -47,7 +46,9 @@ class PracTracker : public BaseTracker
     std::uint32_t counterOf(int channel, int rank, int bank, int row) const;
 
   private:
-    std::vector<std::vector<std::uint16_t>> counters_; ///< Per bank.
+    /// Per-row counters by flatRowId; page-backed, so build and window
+    /// reset cost O(touched pages).
+    ZeroedBuffer<std::uint16_t> counters_;
 };
 
 } // namespace dapper

@@ -1,17 +1,13 @@
 #include "src/rh/start.hh"
 
-#include <cstring>
-
 #include "src/cache/llc.hh"
 
 namespace dapper {
 
 StartTracker::StartTracker(const SysConfig &cfg) : BaseTracker(cfg)
 {
-    rct_.resize(static_cast<std::size_t>(cfg.channels) *
-                cfg.ranksPerChannel);
-    for (auto &vec : rct_)
-        vec.assign(cfg.rowsPerRank(), 0);
+    rct_.reset(static_cast<std::size_t>(cfg.channels) *
+               cfg.ranksPerChannel * cfg.rowsPerRank());
 }
 
 void
@@ -35,9 +31,8 @@ StartTracker::onActivation(const ActEvent &e, MitigationVec &out)
 
     // The counter line must be in the reserved LLC region; a miss costs a
     // DRAM fetch and possibly a dirty-victim writeback.
-    const std::uint64_t counterLine =
-        (static_cast<std::uint64_t>(ri) * cfg_.rowsPerRank() + rowId) /
-        kCountersPerLine;
+    const std::uint64_t counterIdx = flatRowId(ri, rowId);
+    const std::uint64_t counterLine = counterIdx / kCountersPerLine;
     if (llc_ != nullptr) {
         const auto res = llc_->counterAccess(counterLine, true);
         if (!res.hit) {
@@ -52,7 +47,7 @@ StartTracker::onActivation(const ActEvent &e, MitigationVec &out)
         }
     }
 
-    auto &cnt = rct_[static_cast<std::size_t>(ri)][rowId];
+    auto &cnt = rct_[counterIdx];
     if (++cnt >= nM_) {
         out.push_back(victimRefresh(e.channel, e.rank, e.bank, e.row));
         cnt = 0;
@@ -65,14 +60,13 @@ StartTracker::onRefreshWindow(Tick now, MitigationVec &out)
 {
     (void)now;
     (void)out;
-    for (auto &vec : rct_)
-        std::memset(vec.data(), 0, vec.size() * sizeof(std::uint16_t));
+    rct_.clear();
 }
 
 std::uint32_t
 StartTracker::rctCount(int channel, int rank, std::uint64_t rowId) const
 {
-    return rct_[static_cast<std::size_t>(rankIndex(channel, rank))][rowId];
+    return rct_[flatRowId(rankIndex(channel, rank), rowId)];
 }
 
 } // namespace dapper

@@ -14,8 +14,7 @@
 #ifndef DAPPER_RH_START_HH
 #define DAPPER_RH_START_HH
 
-#include <vector>
-
+#include "src/common/zeroed_buffer.hh"
 #include "src/rh/base_tracker.hh"
 
 namespace dapper {
@@ -58,7 +57,9 @@ class StartTracker : public BaseTracker
     void counterLocation(std::uint64_t rowId, int &bank, int &row) const;
 
     Llc *llc_ = nullptr;
-    std::vector<std::vector<std::uint16_t>> rct_; ///< Per (channel,rank).
+    /// Per-row counters by flatRowId; page-backed, so build and window
+    /// reset cost O(touched pages).
+    ZeroedBuffer<std::uint16_t> rct_;
 };
 
 } // namespace dapper

@@ -104,11 +104,26 @@ TEST(Hydra, WindowResetClearsEverything)
     SysConfig cfg = cfg500();
     HydraTracker tracker(cfg);
     MitigationVec out;
-    for (int i = 0; i < 300; ++i)
-        tracker.onActivation(act(7, 1000), out);
-    tracker.onRefreshWindow(0, out);
-    EXPECT_FALSE(tracker.groupPerRow(0, 0, 7ULL * 65536 + 1000));
-    EXPECT_EQ(tracker.rctCount(0, 0, 7ULL * 65536 + 1000), 0u);
+    const std::uint64_t rowId = 7ULL * 65536 + 1000;
+    // write -> reset -> write -> reset: the second window must count
+    // exactly as the first, from a fully zeroed table.
+    std::uint32_t firstCount = 0;
+    for (int window = 0; window < 2; ++window) {
+        for (int i = 0; i < 300; ++i)
+            tracker.onActivation(act(7, 1000), out);
+        ASSERT_TRUE(tracker.groupPerRow(0, 0, rowId));
+        const std::uint32_t count = tracker.rctCount(0, 0, rowId);
+        EXPECT_GT(count, 0u);
+        // Escalation seeded every row of the group.
+        EXPECT_GT(tracker.rctCount(0, 0, rowId + 1), 0u);
+        if (window == 0)
+            firstCount = count;
+        EXPECT_EQ(count, firstCount) << "window " << window;
+        tracker.onRefreshWindow(0, out);
+        EXPECT_FALSE(tracker.groupPerRow(0, 0, rowId));
+        EXPECT_EQ(tracker.rctCount(0, 0, rowId), 0u);
+        EXPECT_EQ(tracker.rctCount(0, 0, rowId + 1), 0u);
+    }
 }
 
 class StartTest : public ::testing::Test
@@ -189,10 +204,16 @@ TEST_F(StartTest, MitigatesAtThreshold)
 TEST_F(StartTest, WindowResetZeroesCounters)
 {
     MitigationVec out;
-    for (int i = 0; i < 100; ++i)
-        tracker_.onActivation(act(3, 2000), out);
-    tracker_.onRefreshWindow(0, out);
-    EXPECT_EQ(tracker_.rctCount(0, 0, 3ULL * 65536 + 2000), 0u);
+    // write -> reset -> write -> reset: a stale count from the first
+    // window would show as 200 in the second.
+    for (int window = 0; window < 2; ++window) {
+        for (int i = 0; i < 100; ++i)
+            tracker_.onActivation(act(3, 2000), out);
+        EXPECT_EQ(tracker_.rctCount(0, 0, 3ULL * 65536 + 2000), 100u)
+            << "window " << window;
+        tracker_.onRefreshWindow(0, out);
+        EXPECT_EQ(tracker_.rctCount(0, 0, 3ULL * 65536 + 2000), 0u);
+    }
 }
 
 } // namespace

@@ -135,6 +135,36 @@ TEST(Prac, CountersArePerRow)
     EXPECT_EQ(tracker.counterOf(0, 0, 2, 778), 1u);
 }
 
+TEST(Prac, WindowResetZeroesCounters)
+{
+    SysConfig cfg = cfgAt(500);
+    PracTracker tracker(cfg);
+    MitigationVec out;
+    // The last row of the last bank of the last rank: the far end of
+    // the flat counter table.
+    const int ch = cfg.channels - 1;
+    const int rk = cfg.ranksPerChannel - 1;
+    const int bk = cfg.banksPerRank() - 1;
+    const int row = cfg.rowsPerBank - 1;
+    const ActEvent far{ch, rk, bk, row, 0, 0};
+    // write -> reset -> write -> reset: a stale count from the first
+    // window would show as 14 in the second.
+    for (int window = 0; window < 2; ++window) {
+        for (int i = 0; i < 7; ++i) {
+            tracker.onActivation(act(0, 0), out);
+            tracker.onActivation(far, out);
+        }
+        tracker.onActivation(act(2, 777), out);
+        EXPECT_EQ(tracker.counterOf(0, 0, 0, 0), 7u) << "window " << window;
+        EXPECT_EQ(tracker.counterOf(ch, rk, bk, row), 7u);
+        EXPECT_EQ(tracker.counterOf(0, 0, 2, 777), 1u);
+        tracker.onRefreshWindow(0, out);
+        EXPECT_EQ(tracker.counterOf(0, 0, 0, 0), 0u);
+        EXPECT_EQ(tracker.counterOf(ch, rk, bk, row), 0u);
+        EXPECT_EQ(tracker.counterOf(0, 0, 2, 777), 0u);
+    }
+}
+
 TEST(BlockHammer, HammeredRowGetsThrottled)
 {
     SysConfig cfg = cfgAt(500);
