@@ -1,7 +1,5 @@
 #include "src/cache/llc.hh"
 
-#include <cassert>
-
 #include "src/common/check.hh"
 #include "src/cpu/core.hh"
 #include "src/mem/controller.hh"

@@ -84,23 +84,6 @@ class Llc : public MemSink
     void memDone(const Request &req, Tick now) override;
 
     /**
-     * Completion-batch prefetch (see MemSink): memDone will probe the
-     * MSHR table for req.lineAddr and insertLine will scan the set's
-     * tag and LRU lanes, all usually cold after the simulated DRAM
-     * latency. One set's lane segment is ways_ * 4 bytes — a cache
-     * line each for the default 16-way config.
-     */
-    void
-    memPrefetch(const Request &req) const override
-    {
-        const std::size_t base = wayBase(
-            static_cast<std::uint64_t>(setIndex(req.lineAddr)));
-        __builtin_prefetch(&tags_[base], 1);
-        __builtin_prefetch(&lru_[base], 1);
-        mshrs_.prefetch(req.lineAddr);
-    }
-
-    /**
      * Event-driven wiring (optional): fills free an MSHR, which may
      * unblock any core, so they broadcast through the hub.
      */

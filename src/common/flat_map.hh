@@ -46,13 +46,6 @@ class FlatMap64
 
     std::size_t size() const { return size_; }
 
-    /** Pull @p key's home bucket toward the cache (pure perf hint). */
-    void
-    prefetch(std::uint64_t key) const
-    {
-        __builtin_prefetch(&keys_[bucket(key)]);
-    }
-
     /** Pointer to the value for @p key, or nullptr. */
     Value *
     find(std::uint64_t key)

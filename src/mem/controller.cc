@@ -66,14 +66,13 @@ MemController::MemController(const SysConfig &cfg, int channel,
     bankGen_.assign(static_cast<std::size_t>(numBanks), 0);
     rankGen_.assign(static_cast<std::size_t>(cfg.ranksPerChannel), 0);
 
-    // Pre-size the completion heap and drain scratch: the steady-state
-    // issue/completion path then performs no allocation at all.
+    // Pre-size the completion heap: the steady-state issue/completion
+    // path then performs no allocation at all.
     {
         std::vector<InFlight> backing;
         backing.reserve(kReadQCap);
         inflight_ = decltype(inflight_)(std::greater<InFlight>(),
                                         std::move(backing));
-        drainScratch_.reserve(kReadQCap);
     }
 }
 
@@ -143,13 +142,9 @@ MemController::enqueue(const Request &req, Tick now)
 void
 MemController::serviceCompletions(Tick now)
 {
-    if (inflight_.empty() || inflight_.top().doneAt > now)
-        return;
-    // Batch: pop every due completion in one pass, then dispatch the
-    // sink callbacks. Sinks only enqueue follow-on requests (LLC
-    // writebacks) — they never push inflight entries — so the batched
-    // order matches a one-at-a-time drain exactly.
-    auto finish = [this, now](const InFlight &fin) {
+    while (!inflight_.empty() && inflight_.top().doneAt <= now) {
+        const InFlight fin = inflight_.top();
+        inflight_.pop();
         if (fin.req.type == ReqType::Read) {
             const std::uint64_t lat =
                 static_cast<std::uint64_t>(fin.doneAt -
@@ -162,21 +157,7 @@ MemController::serviceCompletions(Tick now)
         }
         if (fin.req.sink != nullptr)
             fin.req.sink->memDone(fin.req, now);
-    };
-
-    drainScratch_.clear();
-    while (!inflight_.empty() && inflight_.top().doneAt <= now) {
-        drainScratch_.push_back(inflight_.top());
-        inflight_.pop();
     }
-    // Prefetch sweep before any callback runs: each sink pulls the
-    // state its memDone will touch (LLC tag lanes, MSHR bucket), so
-    // the loads overlap the preceding entries' callback work.
-    for (const InFlight &fin : drainScratch_)
-        if (fin.req.sink != nullptr)
-            fin.req.sink->memPrefetch(fin.req);
-    for (const InFlight &fin : drainScratch_)
-        finish(fin);
 }
 
 void

@@ -29,7 +29,6 @@
 #ifndef DAPPER_MEM_CONTROLLER_HH
 #define DAPPER_MEM_CONTROLLER_HH
 
-#include <cassert>
 #include <cstdint>
 #include <queue>
 #include <vector>
@@ -322,13 +321,11 @@ class MemController
     QueueState readQ_{kReadQCap};
     QueueState writeQ_{kWriteQCap};
     QueueState counterQ_{kCounterQCap};
+    /// Issued requests by completion tick; serviceCompletions pops each
+    /// due entry and hands it to its sink's memDone.
     std::priority_queue<InFlight, std::vector<InFlight>,
                         std::greater<InFlight>>
         inflight_;
-    /// Batched completion drain: due entries are popped in one pass,
-    /// then their sink callbacks run (sinks enqueue new requests but
-    /// never touch inflight_, so the batch preserves drain order).
-    std::vector<InFlight> drainScratch_;
 
     MitigationVec scratch_;
     MemControllerStats stats_;

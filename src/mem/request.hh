@@ -42,21 +42,16 @@ struct Request
     std::uint64_t lineAddr = 0;
 };
 
-/** Completion callback interface. */
+/**
+ * Completion callback interface. The controller calls memDone once per
+ * request it completes, in completion-tick order; memDone may enqueue
+ * follow-on requests (LLC writebacks).
+ */
 class MemSink
 {
   public:
     virtual ~MemSink() = default;
     virtual void memDone(const Request &req, Tick now) = 0;
-
-    /**
-     * Hint that memDone(@p req) is about to be called: pull the state
-     * that call will touch toward the cache. The controller issues this
-     * across a whole completion batch before dispatching any callback,
-     * so later entries' loads overlap earlier entries' work. Pure perf
-     * hint — implementations must not change observable state.
-     */
-    virtual void memPrefetch(const Request &req) const { (void)req; }
 };
 
 } // namespace dapper

@@ -1,6 +1,5 @@
 #include "src/sim/system.hh"
 
-#include <cassert>
 #include <string>
 
 #include "src/common/check.hh"
@@ -48,10 +47,6 @@ System::System(const SysConfig &cfg, const TrackerInfo &tracker,
         cores_.push_back(std::make_unique<Core>(cfg_, i, gens_[i].get(),
                                                 llc_.get(), mcPtrs,
                                                 &mapper_, cfg_.coreMshrs));
-
-    for (auto &core : cores_)
-        coreRaw_.push_back(core.get());
-    mcRaw_ = mcPtrs;
 
     nextWindowAt_ = cfg_.tREFW();
     periodicStep_ = std::max<Tick>(1, cfg_.tREFI() / 4);
@@ -105,7 +100,7 @@ System::run(Tick horizon)
     // Event scheduling: controllers may memoize their issue-path scans
     // behind the stateGen_/watermark contract (see controller.hh); the
     // reference loop keeps the pre-refactor per-visit schedule.
-    for (MemController *mc : mcRaw_)
+    for (auto &mc : controllers_)
         mc->setEventScheduling(true);
 
     while (now_ < horizon) {
@@ -118,10 +113,10 @@ System::run(Tick horizon)
         // batch must never cross the next stat-probe boundary (probes
         // read end-of-their-tick core state) or the last simulated tick.
         const Tick coreLimit = std::min(nextSeriesAt_, horizon - 1);
-        for (Core *core : coreRaw_)
+        for (auto &core : cores_)
             if (core->nextEventAt() <= t)
                 core->tickEvent(t, coreLimit);
-        for (MemController *mc : mcRaw_)
+        for (auto &mc : controllers_)
             if (mc->nextWorkAt() <= t)
                 mc->tick(t);
         if (t >= nextPeriodicAt_ || t >= nextWindowAt_ ||
@@ -133,7 +128,7 @@ System::run(Tick horizon)
         // enqueue an LLC writeback into an earlier one, re-arming it at
         // t, and mitigations can do the same.
         Tick mcMin = kTickMax;
-        for (MemController *mc : mcRaw_)
+        for (auto &mc : controllers_)
             mcMin = std::min(mcMin, mc->nextWorkAt());
 
         // Structural-resource broadcasts (MSHR / read-queue space freed
@@ -147,7 +142,7 @@ System::run(Tick horizon)
         const Tick broadcast = wakeHub_.take();
         Tick next = std::min(mcMin, std::min(nextPeriodicAt_, nextWindowAt_));
         next = std::min(next, nextSeriesAt_);
-        for (Core *core : coreRaw_) {
+        for (auto &core : cores_) {
             if (broadcast != kTickMax)
                 core->wakeIfResourceStalled(broadcast);
             next = std::min(next, core->nextEventAt());
@@ -195,7 +190,7 @@ System::exportStats(StatWriter &w) const
 void
 System::runReference(Tick horizon)
 {
-    for (MemController *mc : mcRaw_)
+    for (auto &mc : controllers_)
         mc->setEventScheduling(false);
     while (now_ < horizon) {
         const Tick t = now_;

@@ -124,9 +124,6 @@ class System
     std::unique_ptr<Llc> llc_;
     std::vector<std::unique_ptr<TraceGen>> gens_;
     std::vector<std::unique_ptr<Core>> cores_;
-    /// Raw views of cores_/controllers_ for the hot event loop.
-    std::vector<Core *> coreRaw_;
-    std::vector<MemController *> mcRaw_;
     Tick now_ = 0;
     Tick nextWindowAt_;
     Tick nextPeriodicAt_;

@@ -6,13 +6,15 @@
  * write drain, and FR-FCFS ordering invariants of the windowed pick —
  * including a randomized stress, with and without BlockHammer-style
  * throttle re-queues, that cross-checks the cache-backed pick against
- * a brute-force windowed linear scan (auditQueues).
+ * a brute-force windowed linear scan (auditQueues), and the same
+ * stress run with the event engine's issue memo on vs. off.
  */
 
 #include <gtest/gtest.h>
 
 #include <cstdint>
 #include <string>
+#include <utility>
 #include <vector>
 
 #include "src/mem/controller.hh"
@@ -310,25 +312,20 @@ TEST_F(ControllerTest, WriteDrainHysteresisServesWriteBurstFirst)
 }
 
 /**
- * Randomized stress: after every controller step the cache-backed pick
- * must equal a brute-force windowed linear scan recomputed from raw
- * bank state. Covers deep same-bank queues (past the 48-entry scan
- * window), bursts across banks, counter traffic, mitigation blocking
- * windows and, with a throttling @p tracker, front-of-queue re-queues.
+ * Seeded per-tick stimulus shared by the stress tests: bursty enqueues
+ * (often concentrated on one hot bank, so a queue grows far past the
+ * 48-entry scan window), writes, counter reads, and VRR / RFMsb
+ * mitigations.
  */
-void
-ControllerTest::stressAgainstReference(Tracker *tracker)
+class StressStimulus
 {
-    mc_.setTracker(tracker);
-    std::uint64_t rng = 0xDEADBEEFCAFEF00Dull;
-    auto rnd = [&rng](std::uint32_t mod) {
-        rng = rng * 6364136223846793005ull + 1442695040888963407ull;
-        return static_cast<std::uint32_t>(rng >> 33) % mod;
-    };
-
-    for (Tick t = 0; t < 60000; ++t) {
-        // Bursty enqueue pressure, sometimes concentrated on one bank
-        // so the queue grows far past the scan window.
+  public:
+    /** Draw the next tick's enqueues and mitigations. */
+    void
+    next()
+    {
+        reqs_.clear();
+        mits_.clear();
         if (rnd(100) < 35) {
             const int burst = 1 + static_cast<int>(rnd(6));
             for (int i = 0; i < burst; ++i) {
@@ -342,23 +339,64 @@ ControllerTest::stressAgainstReference(Tracker *tracker)
                 req.type = kind < 6   ? ReqType::Read
                            : kind < 9 ? ReqType::Write
                                       : ReqType::CounterRead;
-                if (req.type == ReqType::Read)
-                    req.sink = &sink_;
-                mc_.enqueue(req, t); // Full queues may reject: fine.
+                reqs_.push_back(req);
             }
         }
         if (rnd(1000) < 3)
-            mc_.applyMitigation({Mitigation::Kind::VrrRow, 0,
-                                 static_cast<int>(rnd(2)),
-                                 static_cast<int>(rnd(32)),
-                                 static_cast<int>(rnd(8))},
-                                t);
+            mits_.push_back({Mitigation::Kind::VrrRow, 0,
+                             static_cast<int>(rnd(2)),
+                             static_cast<int>(rnd(32)),
+                             static_cast<int>(rnd(8))});
         if (rnd(1000) < 2)
-            mc_.applyMitigation({Mitigation::Kind::RfmSb, 0,
-                                 static_cast<int>(rnd(2)),
-                                 static_cast<int>(rnd(32)),
-                                 static_cast<int>(rnd(8))},
-                                t);
+            mits_.push_back({Mitigation::Kind::RfmSb, 0,
+                             static_cast<int>(rnd(2)),
+                             static_cast<int>(rnd(32)),
+                             static_cast<int>(rnd(8))});
+    }
+
+    /** Apply the drawn stimulus to @p mc at @p t; reads complete to
+     *  @p sink. */
+    void
+    feed(MemController &mc, MemSink *sink, Tick t) const
+    {
+        for (Request req : reqs_) {
+            if (req.type == ReqType::Read)
+                req.sink = sink;
+            mc.enqueue(req, t); // Full queues may reject: fine.
+        }
+        for (const Mitigation &m : mits_)
+            mc.applyMitigation(m, t);
+    }
+
+  private:
+    std::uint32_t
+    rnd(std::uint32_t mod)
+    {
+        rng_ = rng_ * 6364136223846793005ull + 1442695040888963407ull;
+        return static_cast<std::uint32_t>(rng_ >> 33) % mod;
+    }
+
+    std::uint64_t rng_ = 0xDEADBEEFCAFEF00Dull;
+    std::vector<Request> reqs_;
+    std::vector<Mitigation> mits_;
+};
+
+constexpr Tick kStressTicks = 60000;
+
+/**
+ * Randomized stress: after every controller step the cache-backed pick
+ * must equal a brute-force windowed linear scan recomputed from raw
+ * bank state. With a throttling @p tracker it also covers
+ * front-of-queue re-queues.
+ */
+void
+ControllerTest::stressAgainstReference(Tracker *tracker)
+{
+    mc_.setTracker(tracker);
+    StressStimulus stimulus;
+    for (Tick t = 0; t < kStressTicks; ++t) {
+        stimulus.next();
+        stimulus.feed(mc_, &sink_, t);
         mc_.tick(t);
         if (t % 7 == 0) {
             ASSERT_TRUE(mc_.auditQueues(t)) << "divergence at tick " << t;
@@ -381,6 +419,84 @@ TEST_F(ControllerTest, PickMatchesBruteForceReferenceUnderThrottleStress)
     stressAgainstReference(&throttle);
     // The re-queue path must actually have run under the audit.
     EXPECT_GT(mc_.stats().throttledActs, 0u);
+}
+
+/**
+ * Engine contract at controller level: a controller with the issue memo
+ * on, visited only when its wake watermark is due (as System::run does),
+ * must produce the same completion stream and stats as one with the
+ * memo off that is ticked every tick. Returns the memo-on controller's
+ * stats.
+ */
+MemControllerStats
+expectEventMatchesEveryTick(const SysConfig &cfg, Tracker *eventTracker,
+                            Tracker *everyTracker)
+{
+    MemController event(cfg, 0, eventTracker, nullptr, nullptr);
+    MemController every(cfg, 0, everyTracker, nullptr, nullptr);
+    event.setEventScheduling(true);
+    every.setEventScheduling(false);
+    CaptureSink eventSink;
+    CaptureSink everySink;
+    StressStimulus stimulus;
+    Tick eventVisits = 0;
+    for (Tick t = 0; t < kStressTicks; ++t) {
+        stimulus.next();
+        stimulus.feed(event, &eventSink, t);
+        stimulus.feed(every, &everySink, t);
+        if (t >= event.nextWorkAt()) {
+            event.tick(t);
+            ++eventVisits;
+        }
+        every.tick(t);
+    }
+
+    EXPECT_GT(every.stats().reads + every.stats().writes, 500u);
+    EXPECT_LT(eventVisits, kStressTicks);
+    auto stream = [](const CaptureSink &sink) {
+        std::vector<std::pair<Tick, DramAddress>> out;
+        for (const auto &[at, req] : sink.done)
+            out.emplace_back(at, req.dram);
+        return out;
+    };
+    EXPECT_TRUE(stream(eventSink) == stream(everySink));
+    StatDict eventStats;
+    StatDict everyStats;
+    StatWriter eventWriter(eventStats);
+    StatWriter everyWriter(everyStats);
+    event.exportStats(eventWriter);
+    every.exportStats(everyWriter);
+    EXPECT_TRUE(eventStats == everyStats);
+    return event.stats();
+}
+
+TEST(ControllerEngineContractTest, EventVisitsMatchEveryTick)
+{
+    expectEventMatchesEveryTick(SysConfig{}, nullptr, nullptr);
+}
+
+TEST(ControllerEngineContractTest, EventVisitsMatchEveryTickUnderThrottle)
+{
+    HotRowThrottle eventThrottle;
+    HotRowThrottle everyThrottle;
+    EXPECT_GT(expectEventMatchesEveryTick(SysConfig{}, &eventThrottle,
+                                          &everyThrottle)
+                  .throttledActs,
+              0u);
+}
+
+TEST(ControllerEngineContractTest, EventVisitsMatchEveryTickShortMitigations)
+{
+    // With default timings every mitigation only delays queued starts,
+    // so a stale issue memo would still be a safe lower bound. Here a
+    // mitigation blocks for less than the tRAS + tRP an open row owes,
+    // so closing the row moves a pending row miss earlier: the memo
+    // must be invalidated for the two controllers to agree.
+    SysConfig cfg;
+    cfg.vrrNs = 1.0;
+    cfg.rfmSbNs = 1.0;
+    cfg.tRASns = 400.0;
+    expectEventMatchesEveryTick(cfg, nullptr, nullptr);
 }
 
 } // namespace

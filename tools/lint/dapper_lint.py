@@ -43,13 +43,9 @@ Suppression, in order of preference:
      mandatory `reason` — for generated files or whole-file opt-outs
      only; src/ policy is zero blanket exemptions.
 
-Backends: the linter is architected for libclang (python3-clang driven
-by a CMake-exported compile_commands.json) and uses it when importable
-to sharpen type-sensitive rules (nondet-iteration, static-init-order).
-When the bindings are absent it falls back to the bundled lexical
-backend, which implements every rule on a comment/string-scrubbed token
-stream; the fixture self-test exercises whichever backend is active, and
-both must agree on the fixture corpus.
+Every rule runs on one lexical analyzer over a comment/string-scrubbed
+token stream, with real bracket/template tracking; it needs no compile
+database and no third-party package. The fixture self-test pins it.
 
 Exit codes: 0 clean, 1 findings, 2 internal/usage error.
 """
@@ -170,7 +166,7 @@ class Inventory:
 
 
 # ---------------------------------------------------------------------------
-# Rules (lexical backend). Each returns a list of Findings.
+# Rules. Each returns a list of Findings.
 # ---------------------------------------------------------------------------
 
 def rule_nondet_iteration(sf: SourceFile, inv: Inventory):
@@ -482,111 +478,10 @@ RULE_META = {
 
 
 # ---------------------------------------------------------------------------
-# Optional libclang backend: sharpens the type-sensitive rules when the
-# python3-clang bindings are importable (CI installs them; the container
-# fallback is the lexical backend above).
-# ---------------------------------------------------------------------------
-
-class ClangBackend:
-    def __init__(self, compile_db_dir):
-        import clang.cindex as cindex  # noqa: F401 — ImportError gates use
-        self.cindex = cindex
-        self.index = cindex.Index.create()
-        self.db = None
-        if compile_db_dir and (Path(compile_db_dir) /
-                               "compile_commands.json").exists():
-            self.db = cindex.CompilationDatabase.fromDirectory(
-                str(compile_db_dir))
-
-    @staticmethod
-    def available():
-        try:
-            import clang.cindex  # noqa: F401
-            return True
-        except Exception:
-            return False
-
-    def args_for(self, path: Path):
-        if self.db is not None:
-            cmds = self.db.getCompileCommands(str(path))
-            if cmds:
-                args = list(cmds[0].arguments)[1:]
-                # Drop the output/input operands; keep flags.
-                cleaned, skip = [], False
-                for a in args:
-                    if skip:
-                        skip = False
-                        continue
-                    if a in ("-o", "-c"):
-                        skip = a == "-o"
-                        continue
-                    if a.endswith((".cc", ".cpp", ".o")):
-                        continue
-                    cleaned.append(a)
-                return cleaned
-        return ["-x", "c++", "-std=c++20", f"-I{REPO_ROOT}"]
-
-    def findings(self, sf: SourceFile):
-        """AST-accurate findings for nondet-iteration and static-init-order.
-        Returns None when the TU cannot be parsed (caller falls back)."""
-        ck = self.cindex.CursorKind
-        try:
-            tu = self.index.parse(str(sf.path), args=self.args_for(sf.path))
-        except Exception:
-            return None
-        severe = [d for d in tu.diagnostics if d.severity >= 4]
-        if severe:
-            return None
-        finds = []
-        main = str(sf.path)
-
-        def walk(cur):
-            if cur.location.file and str(cur.location.file) != main:
-                return
-            if cur.kind == ck.CXX_FOR_RANGE_STMT:
-                children = list(cur.get_children())
-                if children:
-                    rng = children[-2] if len(children) >= 2 else children[0]
-                    ty = rng.type.get_canonical().spelling
-                    if "unordered_map" in ty or "unordered_set" in ty:
-                        finds.append(Finding(
-                            sf.rel, cur.location.line, "nondet-iteration",
-                            f"range-for over `{ty[:60]}`: iteration order "
-                            "is implementation-defined (libclang)"))
-            if cur.kind == ck.VAR_DECL and cur.semantic_parent is not None \
-                    and cur.semantic_parent.kind in (ck.TRANSLATION_UNIT,
-                                                     ck.NAMESPACE):
-                toks = {t.spelling for t in cur.get_tokens()}
-                if not ({"constexpr", "constinit", "extern"} & toks):
-                    has_call = any(
-                        ch.kind in (ck.CALL_EXPR,)
-                        for ch in cur.walk_preorder())
-                    ty = cur.type.get_canonical().spelling
-                    dyn_ty = any(k in ty for k in (
-                        "std::vector", "std::map", "std::set",
-                        "std::unordered", "std::basic_string", "std::deque",
-                        "std::list", "std::function"))
-                    if (has_call or dyn_ty) and \
-                            not sf.in_register_region(cur.location.line):
-                        finds.append(Finding(
-                            sf.rel, cur.location.line, "static-init-order",
-                            f"namespace-scope static `{cur.spelling}` of "
-                            f"type `{ty[:60]}` has a dynamic initializer "
-                            "(libclang); use a function-local static or "
-                            "constinit"))
-            for ch in cur.get_children():
-                walk(ch)
-
-        walk(tu.cursor)
-        return finds
-
-
-# ---------------------------------------------------------------------------
 # Driver.
 # ---------------------------------------------------------------------------
 
-def lint_files(paths, allowlist: Allowlist, backend="auto",
-               compile_db=None, rules=None, only_files=None):
+def lint_files(paths, allowlist: Allowlist, rules=None, only_files=None):
     """Returns (findings, warnings). Findings include unsuppressed rule hits
     and bad-suppression errors; warnings are informational strings.
     @p only_files: optional set of repo-relative paths — rules still see
@@ -594,20 +489,6 @@ def lint_files(paths, allowlist: Allowlist, backend="auto",
     are reported only for files in the set."""
     files = [SourceFile(p, relpath(p)) for p in collect_files(paths)]
     inv = Inventory(files)
-    clang = None
-    if backend in ("auto", "clang") and ClangBackend.available():
-        try:
-            clang = ClangBackend(compile_db)
-        except Exception as exc:
-            if backend == "clang":
-                raise
-            print(f"dapper-lint: libclang unavailable ({exc}); "
-                  "using lexical backend", file=sys.stderr)
-    elif backend == "clang":
-        raise RuntimeError("--backend=clang requested but python clang "
-                           "bindings are not importable (install "
-                           "python3-clang + libclang)")
-
     active_rules = rules or list(RULES)
     findings, warnings = [], []
     findings.extend(allowlist.errors)
@@ -615,16 +496,7 @@ def lint_files(paths, allowlist: Allowlist, backend="auto",
         if only_files is not None and sf.rel not in only_files:
             continue
         per_file = []
-        clang_ok = False
-        if clang is not None and sf.path.suffix in (".cc", ".cpp"):
-            ast_finds = clang.findings(sf)
-            if ast_finds is not None:
-                clang_ok = True
-                per_file.extend(f for f in ast_finds
-                                if f.rule in active_rules)
         for name in active_rules:
-            if clang_ok and name in ("nondet-iteration", "static-init-order"):
-                continue  # AST backend owns these for this file
             per_file.extend(RULES[name](sf, inv))
         findings.extend(annotation_validity(sf, ALL_RULE_NAMES))
         resolve_suppressions(sf, per_file, allowlist)
@@ -668,8 +540,6 @@ def selftest(verbose=True):
             print(f"  FAIL {label}")
 
     print("dapper-lint selftest")
-    print(f"backend: "
-          f"{'clang+lex' if ClangBackend.available() else 'lex'}")
 
     # 1. Each rule fires on its positive fixture set and is silent on the
     # negative twin set (which includes own-TU / sanctioned patterns).
@@ -739,11 +609,6 @@ def main(argv=None):
         description="determinism/seed-purity static analysis for DAPPER")
     ap.add_argument("paths", nargs="*",
                     help="files or directories to lint (default: src/)")
-    ap.add_argument("-p", "--compile-commands-dir", default=None,
-                    help="build dir containing compile_commands.json "
-                         "(used by the libclang backend)")
-    ap.add_argument("--backend", choices=("auto", "lex", "clang"),
-                    default="auto")
     ap.add_argument("--allowlist", default=str(DEFAULT_ALLOWLIST))
     ap.add_argument("--rule", action="append", dest="rules",
                     choices=sorted(RULES), help="restrict to given rule(s)")
@@ -784,14 +649,9 @@ def main(argv=None):
                 return 0
 
     paths = args.paths or [str(REPO_ROOT / "src")]
-    try:
-        findings, warnings = lint_files(
-            paths, Allowlist.load(args.allowlist, ALL_RULE_NAMES),
-            backend=args.backend, compile_db=args.compile_commands_dir,
-            rules=args.rules, only_files=only_files)
-    except RuntimeError as exc:
-        print(f"dapper-lint: {exc}", file=sys.stderr)
-        return 2
+    findings, warnings = lint_files(
+        paths, Allowlist.load(args.allowlist, ALL_RULE_NAMES),
+        rules=args.rules, only_files=only_files)
     if args.sarif:
         write_sarif(args.sarif, findings, "dapper-lint", TOOL_VERSION,
                     RULE_META)
