@@ -48,7 +48,6 @@ struct Options
     int windows = 2;         ///< Simulated (scaled) tREFW windows.
     int jobs = 0;            ///< Sweep worker threads (0: auto).
     int repeat = 1;          ///< Timing repetitions (median-of-N).
-    Engine engine = Engine::Event; ///< Simulation time-advance engine.
     std::string trackerFilter; ///< Registry name: keep matching cells.
     std::string attackFilter;  ///< Registry name: keep matching cells.
     /// WorkloadRegistry name (--workload): restrict the population to
@@ -87,8 +86,6 @@ usage(const char *prog, const char *error, int exitCode = 2)
                  "report wall-clock\n"
                  "                   take the median of N runs and assert "
                  "identical results\n"
-                 "  --engine E       time-advance engine: event | tick "
-                 "(default event)\n"
                  "  --tracker NAME   restrict the tracker table cells to "
                  "one tracker\n"
                  "  --attack NAME    restrict the attack table cells to "
@@ -168,14 +165,6 @@ parse(int argc, char **argv)
             opt.repeat = std::atoi(value(i));
             if (opt.repeat < 1)
                 usage(prog, "--repeat must be >= 1");
-        } else if (std::strcmp(argv[i], "--engine") == 0) {
-            const char *name = value(i);
-            if (std::strcmp(name, "event") == 0)
-                opt.engine = Engine::Event;
-            else if (std::strcmp(name, "tick") == 0)
-                opt.engine = Engine::Tick;
-            else
-                usage(prog, "--engine must be 'event' or 'tick'");
         } else if (std::strcmp(argv[i], "--tracker") == 0) {
             opt.trackerFilter = value(i);
             if (TrackerRegistry::instance().find(opt.trackerFilter) ==
@@ -232,15 +221,12 @@ makeConfig(const Options &opt)
     return cfg;
 }
 
-/** Scenario seeded with the command-line config, horizon, and engine —
- *  the base every bench grid builds on. */
+/** Scenario seeded with the command-line config and horizon — the base
+ *  every bench grid builds on. */
 inline Scenario
 baseScenario(const Options &opt)
 {
-    return Scenario()
-        .config(makeConfig(opt))
-        .windows(opt.windows)
-        .engine(opt.engine);
+    return Scenario().config(makeConfig(opt)).windows(opt.windows);
 }
 
 /** Append the --seeds Monte-Carlo replica axis (innermost, so
@@ -420,13 +406,13 @@ rejectFilters(const Options &opt, const char *prog)
 
 /**
  * Median-of-N timing: run @p body opt.repeat times, print each rep's
- * wall-clock to stderr (stdout must stay engine-invariant — run_all.sh
- * diffs it across --engine event/tick), and return the median seconds.
- * @p body must be deterministic; benches using this assert that every
- * repetition reproduces the first rep's results. Honest-comparison
- * rule: when comparing two builds or engines, interleave their runs in
- * one session on one machine (A B A B ...), never across days or hosts
- * (see scripts/profile.sh).
+ * wall-clock to stderr (stdout stays deterministic, so two builds'
+ * outputs can be diffed), and return the median seconds. @p body must
+ * be deterministic; benches using this assert that every repetition
+ * reproduces the first rep's results. Honest-comparison rule: when
+ * comparing two builds, interleave their runs in one session on one
+ * machine (A B A B ...), never across days or hosts (see
+ * scripts/profile.sh).
  */
 template <typename Body>
 inline double

@@ -17,11 +17,11 @@
  * shape that exercises a full-window FR-FCFS walk; the DAPPER attack
  * benches keep queues shallow.
  *
- * The printed stats are engine-invariant: --engine event advances the
- * controller by its nextWorkAt() watermark, --engine tick visits every
- * tick, and the scheduler-equivalence contract pins both to the same
- * issue sequence — bench/run_all.sh diffs the outputs and records the
- * wall-clock ratio in BENCH_scheduler.json.
+ * The controller runs with the issue memo on and is visited only at its
+ * nextWorkAt() watermark, as System::run drives it. That this matches a
+ * memo-off controller ticked every tick, on this same round-robin
+ * stimulus, is pinned by ControllerEngineContractTest in
+ * tests/controller_test.cc.
  */
 
 #include <cinttypes>
@@ -71,8 +71,7 @@ struct RefillSink : MemSink
     {
         ++completed;
         // Closed loop: replace each completion so the queue holds its
-        // depth. Refill timing depends only on completion times, which
-        // are engine-invariant.
+        // depth. Refill timing depends only on completion times.
         if (remaining > 0 && mc->enqueue(make(injected), now)) {
             --remaining;
             ++injected;
@@ -94,7 +93,6 @@ main(int argc, char **argv)
     printHeader("Controller micro: queue-depth sweep (issue-scan cost)",
                 cfg);
 
-    const bool eventEngine = opt.engine != Engine::Tick;
     const int numBanks = cfg.ranksPerChannel * cfg.banksPerRank();
     const std::size_t depths[] = {8, 48, 128, 256, 512};
     const bool patterns[] = {false, true};
@@ -105,7 +103,7 @@ main(int argc, char **argv)
     for (const bool missHeavy : patterns) {
         for (const std::size_t depth : depths) {
             MemController mc(cfg, 0, nullptr, nullptr, nullptr);
-            mc.setEventScheduling(eventEngine);
+            mc.setEventScheduling(true);
 
             RefillSink sink;
             sink.mc = &mc;
@@ -128,10 +126,7 @@ main(int argc, char **argv)
 
             const Tick guard = static_cast<Tick>(total) * 4096;
             while (sink.completed < sink.injected && now < guard) {
-                if (eventEngine)
-                    now = std::max(now + 1, mc.nextWorkAt());
-                else
-                    ++now;
+                now = std::max(now + 1, mc.nextWorkAt());
                 mc.tick(now);
             }
 

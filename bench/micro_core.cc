@@ -2,8 +2,7 @@
  * @file
  * Core microbench: isolates the cost of stepping the out-of-order-ish
  * core model itself — batched analytic retirement on the event engine
- * (Core::tickEvent, see src/cpu/README.md) against the per-instruction
- * per-tick reference loop (Core::tick via System::runReference).
+ * (Core::tickEvent, see src/cpu/README.md).
  *
  * The grid is three bare-metal cells with no tracker and no attacker,
  * spanning the bubble spectrum that decides how much a closed-form
@@ -18,12 +17,12 @@
  *              that trades memory-bound throughput for compute-bound
  *              wins cannot hide.
  *
- * The printed stats are engine-invariant (bit-identical engine
- * contract), so bench/run_all.sh diffs the --engine event/tick outputs
- * as an equivalence check and records the wall-clock ratio in
- * BENCH_scheduler.json. With --repeat N each cell is simulated N times
- * (median-of-N, per-rep times on stderr) and every repetition must
- * reproduce the first rep's full telemetry dict bit-identically.
+ * The same three cells are pinned bit-identical to the per-tick oracle
+ * (Core::tick every cycle) by SchedulerEquivalenceScaled in
+ * tests/scheduler_equivalence_test.cc. With --repeat N each cell is
+ * simulated N times (median-of-N, per-rep times on stderr) and every
+ * repetition must reproduce the first rep's full telemetry dict
+ * bit-identically.
  */
 
 #include <cinttypes>
@@ -105,7 +104,7 @@ main(int argc, char **argv)
         std::uint64_t firstFp = 0;
         const double secs = timedMedian(opt.repeat, [&](int rep) {
             RunResult r = runOnce(cfg, workload, "none",
-                                  "none", horizon, opt.engine);
+                                  "none", horizon);
             const std::uint64_t fp = fingerprint(r);
             if (rep == 0) {
                 first = std::move(r);

@@ -1,24 +1,16 @@
 /**
  * @file
- * GroundTruth microbench: pins the before/after cost of the
- * epoch-stamped damage checker against the dense reference model it
- * replaced (src/rh/ground_truth_dense.hh).
+ * GroundTruth microbench: times the epoch-stamped damage checker on a
+ * deterministic DRAM event stream — the mix a saturated attack window
+ * generates: double-sided ACT bursts across banks, per-rank
+ * auto-refresh at tREFI cadence, victim refreshes from mitigations,
+ * occasional bulk resets, and tREFW window boundaries — and prints its
+ * observable state (stats plus a lazy-resolution damage checksum).
  *
- * Both sides replay the same deterministic DRAM event stream — the mix
- * a saturated attack window generates: double-sided ACT bursts across
- * banks, per-rank auto-refresh at tREFI cadence, victim refreshes from
- * mitigations, occasional bulk resets, and tREFW window boundaries —
- * and print the same observable state (stats plus a lazy-resolution
- * damage checksum).
- *
- * The GroundTruth model has no time-advance engine, so this bench
- * repurposes the --engine flag as the implementation selector:
- * --engine event runs the production epoch-stamped model, --engine tick
- * runs the dense reference. bench/run_all.sh's engine-comparison pass
- * therefore doubles as the before/after pin: it diffs the two outputs
- * (they must be identical — the same differential property
- * tests/ground_truth_test.cc asserts) and records dense/epoch wall-time
- * as the speedup in BENCH_scheduler.json.
+ * It runs the production model only. Its equality with the dense
+ * reference model (DenseGroundTruth in tests/oracle/) is pinned by
+ * GroundTruth.MatchesDenseReferenceUnderRandomInterleavings, the
+ * differential test in tests/ground_truth_test.cc.
  */
 
 #include <cinttypes>
@@ -27,7 +19,6 @@
 #include "bench/bench_util.hh"
 #include "src/common/rng.hh"
 #include "src/rh/ground_truth.hh"
-#include "src/rh/ground_truth_dense.hh"
 
 namespace {
 
@@ -36,15 +27,14 @@ using namespace dapper;
 /**
  * Replay one canned event phase into @p gt and print its state.
  * @p actsPerWindow sets the mix: a saturated attack phase is
- * activation-heavy, a benign phase leaves the refresh machinery (where
- * the dense model pays its sweeps) as almost the whole cost.
+ * activation-heavy, a benign phase leaves the refresh machinery as
+ * almost the whole cost.
  */
-template <typename Model>
 void
-replay(Model &gt, const SysConfig &cfg, int windows,
+replay(GroundTruth &gt, const SysConfig &cfg, int windows,
        std::uint64_t actsPerWindow, std::uint64_t seed)
 {
-    Rng rng(seed); // Same stream for both implementations.
+    Rng rng(seed);
     const int banks = cfg.banksPerRank();
     const int refsPerWindow = 8192; // tREFW / tREFI per rank.
     // ACT : REF interleave ratio per rank pair.
@@ -110,7 +100,6 @@ replay(Model &gt, const SysConfig &cfg, int windows,
                    gt.damageOf(c, r, b, row);
     }
 
-    // No implementation label: run_all.sh diffs the two sides' output.
     std::printf("acts %10" PRIu64 " violations %8" PRIu64
                 " maxDamage %6u refsPerSweep %5d checksum %016" PRIx64
                 "\n",
@@ -131,29 +120,20 @@ main(int argc, char **argv)
     const SysConfig cfg = makeConfig(opt);
     printHeader("GroundTruth micro: damage-checker event replay", cfg);
 
-    // 32 replay windows per --windows unit keep the dense side's cost
-    // well above timer noise for the run_all.sh wall-clock ratio.
+    // 32 replay windows per --windows unit keep the cost well above
+    // timer noise.
     const int windows = opt.windows * 32;
     // Phase 1: saturated attack mix (bump-dominated on both sides).
-    // Phase 2: benign mix — almost all refresh traffic, the shape where
-    // the dense model's eager sweeps are pure overhead.
+    // Phase 2: benign mix — almost all refresh traffic.
     const struct
     {
         const char *name;
         std::uint64_t actsPerWindow;
     } phases[] = {{"attack", 400000}, {"benign", 4000}};
-    if (opt.engine == Engine::Tick) {
-        DenseGroundTruth gt(cfg);
-        for (const auto &phase : phases) {
-            std::printf("%-8s ", phase.name);
-            replay(gt, cfg, windows, phase.actsPerWindow, 0x6d7467u);
-        }
-    } else {
-        GroundTruth gt(cfg);
-        for (const auto &phase : phases) {
-            std::printf("%-8s ", phase.name);
-            replay(gt, cfg, windows, phase.actsPerWindow, 0x6d7467u);
-        }
+    GroundTruth gt(cfg);
+    for (const auto &phase : phases) {
+        std::printf("%-8s ", phase.name);
+        replay(gt, cfg, windows, phase.actsPerWindow, 0x6d7467u);
     }
     return 0;
 }

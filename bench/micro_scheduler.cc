@@ -7,14 +7,10 @@
  * where banks spend long stretches blocked and the per-tick reference
  * loop burns its budget on dead cycles — plus saturated Perf-Attack
  * cells (Hydra / START under their tailored attacks), where most ticks
- * are active and the issue-scan cost of the per-bank FR-FCFS queue
- * index dominates instead.
+ * are active and the FR-FCFS window scan dominates instead.
  *
- * Run with --engine event and --engine tick and compare wall-clock; the
- * printed stats are engine-invariant (bit-identical scheduler contract),
- * so diffing the two outputs doubles as an equivalence check —
- * bench/run_all.sh does exactly that and records the speedup in
- * BENCH_scheduler.json.
+ * It times the event-driven engine only; its equivalence to the
+ * per-tick oracle is a ctest (tests/scheduler_equivalence_test.cc).
  */
 
 #include "bench/bench_util.hh"

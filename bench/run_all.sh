@@ -1,24 +1,23 @@
 #!/usr/bin/env bash
-# Time every bench binary and emit machine-readable perf snapshots:
+# Collect the structured results every scenario bench emits (--json via
+# the Scenario/Runner ResultTable; no log scraping) into one snapshot:
 #
-#   BENCH_all.json        per-binary wall-clock plus the structured
-#                         results each sim bench emits itself (--json
-#                         via the Scenario/Runner ResultTable; no log
-#                         scraping), collected from bench_json/*.json
-#   BENCH_scheduler.json  event-driven vs tick-by-tick engine speedup
-#                         on scheduler-sensitive benches
+#   BENCH_all.json   every bench's ResultTable JSON, embedded verbatim
+#   bench_json/      the per-bench files it was built from
+#
+# Each file is validated with scripts/check_bench_json.py before the
+# snapshot is published. Simulator speed is measured by dapper-bench
+# (BENCHMARK.json), not here.
 #
 # Usage: bench/run_all.sh [--full] [build-dir]
 #   --full           run the complete 57-workload population (nightly CI)
-#   BENCH_ARGS       args for the timing pass  (default: --windows 1 --scale 64)
-#   SCHED_ARGS       args for the engine comparison (default: --windows 1)
+#   BENCH_ARGS       args for every bench  (default: --windows 1 --scale 64)
 #   OUT_DIR          where the JSON files land (default: repo root)
 
 set -euo pipefail
 
 REPO_ROOT="$(cd "$(dirname "$0")/.." && pwd)"
 BENCH_ARGS="${BENCH_ARGS:---windows 1 --scale 64}"
-SCHED_ARGS="${SCHED_ARGS:---windows 1}"
 BUILD_DIR=""
 for arg in "$@"; do
     case "$arg" in
@@ -34,46 +33,30 @@ if [ ! -d "$BUILD_DIR" ]; then
     exit 1
 fi
 
-EV_OUT="/tmp/bench_event_$$.txt"
-TK_OUT="/tmp/bench_tick_$$.txt"
-
 # All JSON is staged under temp paths and published with a final mv
-# only after the producing pass (and validation) succeeded — a bench
-# that crashes mid-run must never leave a torn BENCH_all.json or a
-# half-filled bench_json/ behind masquerading as a complete snapshot.
+# only after every bench ran and validated — a bench that crashes
+# mid-run must never leave a torn BENCH_all.json or a half-filled
+# bench_json/ behind masquerading as a complete snapshot.
 ALL_JSON="$OUT_DIR/BENCH_all.json"
-SCHED_JSON="$OUT_DIR/BENCH_scheduler.json"
 JSON_DIR="$OUT_DIR/bench_json"
 ALL_TMP="$ALL_JSON.tmp.$$"
-SCHED_TMP="$SCHED_JSON.tmp.$$"
 JSON_DIR_TMP="$JSON_DIR.tmp.$$"
 
 cleanup() {
-    rm -f "$EV_OUT" "$TK_OUT" "$ALL_TMP" "$SCHED_TMP"
+    rm -f "$ALL_TMP"
     rm -rf "$JSON_DIR_TMP"
 }
 trap cleanup EXIT
 
-now_s() { date +%s.%N; }
-
-elapsed() { # elapsed <start> <end>
-    awk -v a="$1" -v b="$2" 'BEGIN { printf "%.2f", b - a }'
-}
-
+# The benches that run scenario grids and so emit ResultTable JSON.
+# micro_controller / micro_groundtruth / micro_core drive bare
+# components, and tab02 / tab03 are closed-form: none has JSON to give.
 SIM_BENCHES="fig01_motivation fig03_perf_attacks fig04_nrh_sensitivity \
 fig05_llc_sensitivity fig09_dapper_s_agnostic fig10_dapper_h_agnostic \
 fig11_dapper_h_benign fig12_nrh_sweep fig13_blast_radius fig14_blockhammer \
 fig15_probabilistic_benign fig16_probabilistic_attack fig17_prac \
-fig_multiprog ablation_dapper_h tab04_energy micro_scheduler \
-micro_controller micro_groundtruth micro_core"
-ANALYTIC_BENCHES="tab02_mapping_capture tab03_storage"
+fig_multiprog ablation_dapper_h tab04_energy micro_scheduler"
 
-# ---------------------------------------------------------------------
-# Pass 1: time every binary once. Sim benches also emit their own
-# structured results (--json -> ResultTable JSON) into bench_json/,
-# which BENCH_all.json embeds verbatim — the benches are the source of
-# the machine-readable numbers, the shell only adds wall-clock.
-# ---------------------------------------------------------------------
 mkdir -p "$JSON_DIR_TMP"
 {
     echo '{'
@@ -83,38 +66,18 @@ mkdir -p "$JSON_DIR_TMP"
 } > "$ALL_TMP"
 
 first=1
-for bench in $SIM_BENCHES $ANALYTIC_BENCHES; do
+for bench in $SIM_BENCHES; do
     bin="$BUILD_DIR/$bench"
     [ -x "$bin" ] || { echo "skipping $bench (not built)" >&2; continue; }
-    bench_json=""
-    case " $ANALYTIC_BENCHES " in
-        *" $bench "*) args="" ;;
-        *) bench_json="$JSON_DIR_TMP/$bench.json"
-           args="$BENCH_ARGS --json $bench_json" ;;
-    esac
-    # micro_controller / micro_groundtruth / micro_core drive bare
-    # components (no scenarios, so no ResultTable JSON).
-    case "$bench" in
-        micro_controller|micro_groundtruth|micro_core)
-            bench_json=""; args="$BENCH_ARGS" ;;
-    esac
-    echo "timing $bench $args" >&2
-    t0=$(now_s)
+    bench_json="$JSON_DIR_TMP/$bench.json"
+    echo "running $bench $BENCH_ARGS" >&2
     # shellcheck disable=SC2086
-    "$bin" $args > /dev/null
-    t1=$(now_s)
-    secs=$(elapsed "$t0" "$t1")
+    "$bin" $BENCH_ARGS --json "$bench_json" > /dev/null
     [ $first -eq 1 ] || echo ',' >> "$ALL_TMP"
     first=0
-    if [ -n "$bench_json" ] && [ -s "$bench_json" ]; then
-        printf '    {"name": "%s", "seconds": %s, "results":\n' \
-            "$bench" "$secs" >> "$ALL_TMP"
-        sed 's/^/    /' "$bench_json" >> "$ALL_TMP"
-        printf '    }' >> "$ALL_TMP"
-    else
-        printf '    {"name": "%s", "seconds": %s, "results": null}' \
-            "$bench" "$secs" >> "$ALL_TMP"
-    fi
+    printf '    {"name": "%s", "results":\n' "$bench" >> "$ALL_TMP"
+    sed 's/^/    /' "$bench_json" >> "$ALL_TMP"
+    printf '    }' >> "$ALL_TMP"
 done
 {
     echo ''
@@ -140,58 +103,3 @@ rm -rf "$JSON_DIR"
 mv "$JSON_DIR_TMP" "$JSON_DIR"
 mv "$ALL_TMP" "$ALL_JSON"
 echo "wrote $ALL_JSON" >&2
-
-# ---------------------------------------------------------------------
-# Pass 2: event-driven vs tick-by-tick engine on scheduler-sensitive
-# benches (fig14's BlockHammer throttling and fig03's Perf-Attack grid).
-# ---------------------------------------------------------------------
-{
-    echo '{'
-    echo '  "generated_by": "bench/run_all.sh",'
-    echo "  \"args\": \"$SCHED_ARGS\","
-    echo '  "note": "seconds_tick is the pre-refactor per-tick loop (System::runReference); seconds_event is the event-driven scheduler. Outputs are asserted identical. micro_groundtruth repurposes the flag pair as epoch (event) vs dense-reference (tick) GroundTruth implementations.",'
-    echo '  "benches": ['
-} > "$SCHED_TMP"
-
-first=1
-for bench in micro_scheduler micro_controller micro_groundtruth micro_core fig14_blockhammer fig03_perf_attacks; do
-    bin="$BUILD_DIR/$bench"
-    [ -x "$bin" ] || { echo "skipping $bench (not built)" >&2; continue; }
-    case "$bench" in
-        # The micro benches are quick: run their full default horizons
-        # so process startup does not dilute the engine comparison.
-        micro_scheduler|micro_controller|micro_groundtruth|micro_core)
-            args="" ;;
-        *) args="$SCHED_ARGS" ;;
-    esac
-    echo "engine comparison: $bench $args" >&2
-    t0=$(now_s)
-    # shellcheck disable=SC2086
-    "$bin" $args --jobs 1 --engine event > "$EV_OUT"
-    t1=$(now_s)
-    ev=$(elapsed "$t0" "$t1")
-    t0=$(now_s)
-    # shellcheck disable=SC2086
-    "$bin" $args --jobs 1 --engine tick > "$TK_OUT"
-    t1=$(now_s)
-    tk=$(elapsed "$t0" "$t1")
-    diff -u "$EV_OUT" "$TK_OUT" >&2 ||
-        { echo "ERROR: $bench engine outputs differ (diff above)" >&2
-          exit 1; }
-    speedup=$(awk -v e="$ev" -v t="$tk" 'BEGIN { printf "%.2f", t / e }')
-    echo "  $bench: event ${ev}s tick ${tk}s speedup ${speedup}x" >&2
-    [ $first -eq 1 ] || echo ',' >> "$SCHED_TMP"
-    first=0
-    printf '    {"name": "%s", "seconds_event": %s, "seconds_tick": %s, "speedup": %s}' \
-        "$bench" "$ev" "$tk" "$speedup" >> "$SCHED_TMP"
-done
-{
-    echo ''
-    echo '  ]'
-    echo '}'
-} >> "$SCHED_TMP"
-if command -v python3 > /dev/null 2>&1; then
-    python3 -c "import json,sys; json.load(open(sys.argv[1]))" "$SCHED_TMP"
-fi
-mv "$SCHED_TMP" "$SCHED_JSON"
-echo "wrote $SCHED_JSON" >&2

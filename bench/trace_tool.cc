@@ -53,7 +53,7 @@ usage(const char *error = nullptr)
         "  dump <file.dtr> [--limit N] [--start I]\n"
         "  replay <file.dtr|workload> [--tracker T] [--attack A]\n"
         "         [--nrh N] [--scale X] [--windows N] [--seed S]\n"
-        "         [--engine event|tick] [--json FILE]\n"
+        "         [--json FILE]\n"
         "  gen [outdir]   regenerate the checked-in miniature traces\n"
         "                 (default outdir: the trace directory)\n",
         stderr);
@@ -267,7 +267,6 @@ cmdReplay(int argc, char **argv)
     double scale = 16.0;
     int windows = 2;
     std::uint64_t seed = SysConfig().seed;
-    Engine engine = Engine::Event;
     for (int i = 1; i < argc; ++i) {
         if (std::strcmp(argv[i], "--tracker") == 0)
             tracker = argValue(argc, argv, i);
@@ -285,15 +284,7 @@ cmdReplay(int argc, char **argv)
                 parseU64(argValue(argc, argv, i), "--windows"));
         else if (std::strcmp(argv[i], "--seed") == 0)
             seed = parseU64(argValue(argc, argv, i), "--seed");
-        else if (std::strcmp(argv[i], "--engine") == 0) {
-            const char *name = argValue(argc, argv, i);
-            if (std::strcmp(name, "event") == 0)
-                engine = Engine::Event;
-            else if (std::strcmp(name, "tick") == 0)
-                engine = Engine::Tick;
-            else
-                usage("--engine must be 'event' or 'tick'");
-        } else
+        else
             usage("unknown replay flag");
     }
     if (nRH < 1 || scale <= 0.0 || windows < 1)
@@ -328,14 +319,12 @@ cmdReplay(int argc, char **argv)
                             .tracker(tracker)
                             .attack(attack)
                             .windows(windows)
-                            .engine(engine)
                             .label("replay/" + workload);
     Runner runner;
     const ScenarioResult result = runner.run(scenario);
     std::printf("workload:     %s\n", workload.c_str());
-    std::printf("tracker:      %s  attack: %s  engine: %s\n",
-                tracker.c_str(), attack.c_str(),
-                engine == Engine::Tick ? "tick" : "event");
+    std::printf("tracker:      %s  attack: %s\n", tracker.c_str(),
+                attack.c_str());
     std::printf("benign IPC:   %.6f\n", result.run.benignIpcMean);
     std::printf("activations:  %" PRIu64 "\n", result.run.activations);
     std::printf("mitigations:  %" PRIu64 "\n", result.run.mitigations);

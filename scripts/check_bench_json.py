@@ -41,7 +41,6 @@ import re
 import sys
 
 BASELINES = {"raw", "no-attack", "same-attack"}
-ENGINES = {"event", "tick"}
 
 # Every scenario must export at least these per-component stats
 # ("tracker.*" is absent for the unprotected system, so not required).
@@ -68,7 +67,7 @@ MIRRORED = [
 # Cell identity: present and typed on every row, gap rows included.
 IDENTITY_FIELDS = (
     "workload", "tracker", "attack", "baseline", "label", "nrh",
-    "time_scale", "llc_bytes", "channels", "seed", "horizon", "engine",
+    "time_scale", "llc_bytes", "channels", "seed", "horizon",
 )
 
 # Measured values: typed on live rows, exactly null on quarantined gap
@@ -95,7 +94,6 @@ SCENARIO_FIELDS = {
     "channels": (lambda v: isinstance(v, int) and v >= 1, "int >= 1"),
     "seed": (lambda v: isinstance(v, int) and v >= 0, "int >= 0"),
     "horizon": (lambda v: isinstance(v, int) and v > 0, "int > 0"),
-    "engine": (lambda v: v in ENGINES, f"one of {sorted(ENGINES)}"),
     "benign_ipc": (
         lambda v: isinstance(v, (int, float)) and v >= 0,
         "number >= 0",

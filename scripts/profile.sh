@@ -9,8 +9,12 @@
 #                                                 file flamegraph.pl or
 #                                                 speedscope can render)
 #
-#   e.g. scripts/profile.sh micro_scheduler --windows 1 --engine event
+#   e.g. scripts/profile.sh micro_scheduler --windows 1 --jobs 1
 #        scripts/profile.sh --perf micro_core --jobs 1
+#
+#   Benches run the event engine only; the per-tick oracle
+#   (tests/oracle/) runs inside test binaries, e.g.
+#        scripts/profile.sh scheduler_equivalence_test --gtest_filter='*Window*'
 #
 #   PROF_BUILD_DIR   profiling build dir (default: <repo>/build-prof)
 #   PROF_TOP         report lines to print (default: 20)

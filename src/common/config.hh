@@ -4,11 +4,16 @@
  * defenses, mirroring Table I of the DAPPER paper (HPCA 2025).
  *
  * All durations are specified in nanoseconds / milliseconds and converted
- * to core cycles (Tick, 4 GHz) by derived accessors. "Window" durations
- * (tREFW, reset periods, bulk-refresh penalties) are divided by
- * @c timeScale so that multi-tREFW experiments stay tractable; the
- * performance overheads the paper reports are ratios of blocking time to
- * window time, which this scaling preserves (see DESIGN.md §1).
+ * to core cycles (Tick, 4 GHz) by derived accessors. @c timeScale
+ * shrinks the refresh window so that multi-tREFW experiments stay
+ * tractable. It divides tREFW, tREFI, tRFC, the tracker reset periods
+ * and the bulk-refresh penalties. It does not divide the per-command
+ * timings (tRCD, tRP, tRAS, tRC, tBL, tFAW, the VRR / RFMsb / DRFMsb
+ * mitigation commands) or nRH. A scaled window therefore holds about
+ * @c timeScale times fewer activations against the same threshold, so
+ * trackers reach nRH and act less often per window at larger scales:
+ * the paper's overhead ratios are not preserved. At 1024, tREFI is
+ * shorter than tRC.
  */
 
 #ifndef DAPPER_COMMON_CONFIG_HH
@@ -71,8 +76,9 @@ struct SysConfig
     double tREFWms = 32.0;  ///< Refresh window (before timeScale).
 
     /**
-     * Window scaling factor. Divides tREFW, tREFI, tracker reset periods
-     * and bulk-refresh penalties; per-command timings stay physical.
+     * Window scaling factor. Divides tREFW, tREFI, tRFC, tracker reset
+     * periods and bulk-refresh penalties; per-command timings and nRH
+     * stay physical (see the file comment for what that changes).
      */
     double timeScale = 16.0;
 

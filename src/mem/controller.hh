@@ -48,8 +48,9 @@ namespace dapper {
 /**
  * Deterministic reservoir sampler (algorithm R with a fixed-seed LCG)
  * over read latencies, so benches can report tail latency (p99), not
- * just the mean. Engine-invariant: samples are fed in completion order,
- * which the scheduler-equivalence contract pins across engines.
+ * just the mean. The same on both engines: samples are fed in
+ * completion order, which the scheduler-equivalence contract pins
+ * across engines.
  */
 struct LatencyReservoir
 {

@@ -22,8 +22,9 @@
  * enclosing scope's clear epoch; otherwise it is stale and reads as
  * zero, resolved lazily on the next bump or damageOf. This makes all
  * refresh paths O(1) epoch bumps instead of dense row sweeps — see
- * src/rh/README.md for the full contract, and ground_truth_dense.hh for
- * the dense reference model the differential test pins this against.
+ * src/rh/README.md for the full contract, and DenseGroundTruth
+ * (tests/oracle/) for the dense reference model the differential test
+ * pins this against.
  */
 
 #ifndef DAPPER_RH_GROUND_TRUTH_HH

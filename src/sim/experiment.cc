@@ -20,16 +20,35 @@ defaultHorizon(const SysConfig &cfg)
 RunResult
 runOnce(const SysConfig &cfg, const std::string &workload,
         const AttackInfo &attack, const TrackerInfo &tracker,
-        Tick horizon, Engine engine)
+        Tick horizon)
 {
     return runOnce(cfg, std::vector<std::string>{workload}, attack,
-                   tracker, horizon, engine);
+                   tracker, horizon);
 }
 
 RunResult
 runOnce(const SysConfig &cfg, const std::vector<std::string> &workloads,
         const AttackInfo &attack, const TrackerInfo &tracker,
-        Tick horizon, Engine engine)
+        Tick horizon)
+{
+    return detail::runSystem(cfg, workloads, attack, tracker, horizon,
+                             [](System &sys, Tick h) { sys.run(h); });
+}
+
+RunResult
+runOnce(const SysConfig &cfg, const std::string &workload,
+        const std::string &attack, const std::string &tracker,
+        Tick horizon)
+{
+    return runOnce(cfg, workload, AttackRegistry::instance().at(attack),
+                   TrackerRegistry::instance().at(tracker), horizon);
+}
+
+RunResult
+detail::runSystem(const SysConfig &cfg,
+                  const std::vector<std::string> &workloads,
+                  const AttackInfo &attack, const TrackerInfo &tracker,
+                  Tick horizon, AdvanceFn advance)
 {
     if (workloads.empty())
         throw std::invalid_argument(
@@ -63,10 +82,7 @@ runOnce(const SysConfig &cfg, const std::vector<std::string> &workloads,
     System sys(runCfg, tracker, std::move(gens), attackerCore);
     TrefiSeriesProbe probe;
     sys.attachProbe(&probe);
-    if (engine == Engine::Tick)
-        sys.runReference(horizon);
-    else
-        sys.run(horizon);
+    advance(sys, horizon);
 
     RunResult result;
     std::vector<double> benign;
@@ -120,16 +136,6 @@ runOnce(const SysConfig &cfg, const std::vector<std::string> &workloads,
                                           ".ipc"),
                      "RunResult.coreIpc != core.<i>.ipc stat");
     return result;
-}
-
-RunResult
-runOnce(const SysConfig &cfg, const std::string &workload,
-        const std::string &attack, const std::string &tracker,
-        Tick horizon, Engine engine)
-{
-    return runOnce(cfg, workload, AttackRegistry::instance().at(attack),
-                   TrackerRegistry::instance().at(tracker), horizon,
-                   engine);
 }
 
 } // namespace dapper

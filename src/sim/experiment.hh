@@ -58,17 +58,6 @@ struct RunResult
 Tick defaultHorizon(const SysConfig &cfg);
 
 /**
- * Which time-advance engine System uses. Event (the default) jumps to
- * the next component watermark; Tick is the per-cycle reference loop.
- * Both produce bit-identical stats (tests/scheduler_equivalence_test.cc).
- */
-enum class Engine
-{
-    Event,
-    Tick,
-};
-
-/**
  * Which insecure baseline a normalized result divides by.
  *
  * - Raw: no normalization (Runner reports the plain RunResult).
@@ -100,7 +89,7 @@ enum class Baseline
  */
 RunResult runOnce(const SysConfig &cfg, const std::string &workload,
                   const AttackInfo &attack, const TrackerInfo &tracker,
-                  Tick horizon = 0, Engine engine = Engine::Event);
+                  Tick horizon = 0);
 
 /**
  * Multi-program variant: benign core i runs workloads[i % n]. A
@@ -111,13 +100,28 @@ RunResult runOnce(const SysConfig &cfg, const std::string &workload,
 RunResult runOnce(const SysConfig &cfg,
                   const std::vector<std::string> &workloads,
                   const AttackInfo &attack, const TrackerInfo &tracker,
-                  Tick horizon = 0, Engine engine = Engine::Event);
+                  Tick horizon = 0);
 
 /** Convenience overload resolving @p attack and @p tracker by registry
  *  name (tests, micro benches). */
 RunResult runOnce(const SysConfig &cfg, const std::string &workload,
                   const std::string &attack, const std::string &tracker,
-                  Tick horizon = 0, Engine engine = Engine::Event);
+                  Tick horizon = 0);
+
+namespace detail {
+
+/** Time-advance step: runs @p sys to @p horizon ticks. */
+using AdvanceFn = void (*)(System &sys, Tick horizon);
+
+/** runOnce with the time advance as a parameter: one build and one
+ *  collect path (typed-mirror checks included) for System::run and the
+ *  per-tick oracle in tests/oracle/. */
+RunResult runSystem(const SysConfig &cfg,
+                    const std::vector<std::string> &workloads,
+                    const AttackInfo &attack, const TrackerInfo &tracker,
+                    Tick horizon, AdvanceFn advance);
+
+} // namespace detail
 
 } // namespace dapper
 

@@ -25,12 +25,12 @@ namespace {
  * GroundTruth's violation *stats*, never timing — while the cached
  * value is just benignIpcMean. With an attacker present the full key
  * stays: attack generators receive the config and may key their
- * behavior on it (MappingProbe reads nM()).
+ * behavior on it.
  */
 std::string
 fingerprint(SysConfig c, const std::string &workload,
             const std::string &attack, bool attackerPresent,
-            Tick horizon, Engine engine)
+            Tick horizon)
 {
     if (!attackerPresent) {
         const SysConfig canon;
@@ -47,7 +47,6 @@ fingerprint(SysConfig c, const std::string &workload,
     }
     std::ostringstream os;
     os << workload << '|' << attack << '|' << horizon << '|'
-       << static_cast<int>(engine) << '|'
        << detail::configFingerprint(c);
     return os.str();
 }
@@ -61,12 +60,6 @@ baselineName(Baseline b)
       case Baseline::SameAttack: return "same-attack";
     }
     return "?";
-}
-
-const char *
-engineName(Engine e)
-{
-    return e == Engine::Tick ? "tick" : "event";
 }
 
 void
@@ -117,14 +110,13 @@ Runner::baselineIpc(const Scenario &scenario)
     const Tick horizon = scenario.effectiveHorizon();
     const std::string key = fingerprint(
         scenario.configRef(), scenario.workloadName(), baseAttack.name,
-        !baseAttack.isNone(), horizon, scenario.engineKind());
+        !baseAttack.isNone(), horizon);
 
     std::shared_ptr<BaselineEntry> entry = entryFor(key);
     std::call_once(entry->once, [&] {
         entry->value = runOnce(scenario.configRef(),
                                scenario.workloadList(), baseAttack,
-                               noneTracker, horizon,
-                               scenario.engineKind())
+                               noneTracker, horizon)
                            .benignIpcMean;
     });
     return entry->value;
@@ -146,9 +138,9 @@ Runner::runRaw(const Scenario &scenario)
     const RunResult result =
         runOnce(scenario.configRef(), scenario.workloadList(),
                 scenario.attackInfo(), scenario.trackerInfo(),
-                scenario.effectiveHorizon(), scenario.engineKind());
+                scenario.effectiveHorizon());
     // An unprotected run *is* the insecure baseline for its own
-    // (workload, attack, config, horizon, engine): remember it, so a
+    // (workload, attack, config, horizon): remember it, so a
     // later normalized scenario reuses this simulation instead of
     // repeating it (seed-purity makes the values bit-identical).
     if (scenario.trackerInfo().isNone()) {
@@ -156,8 +148,7 @@ Runner::runRaw(const Scenario &scenario)
             fingerprint(scenario.configRef(), scenario.workloadName(),
                         scenario.attackInfo().name,
                         !scenario.attackInfo().isNone(),
-                        scenario.effectiveHorizon(),
-                        scenario.engineKind());
+                        scenario.effectiveHorizon());
         std::shared_ptr<BaselineEntry> entry = entryFor(key);
         std::call_once(entry->once, [&] {
             entry->value = result.benignIpcMean;
@@ -337,12 +328,11 @@ ResultTable::writeJsonRow(std::FILE *out, const ScenarioResult &row)
             out,
             ",\n     \"nrh\": %d, \"time_scale\": %.17g, "
             "\"llc_bytes\": %llu, \"channels\": %d, \"seed\": %llu, "
-            "\"horizon\": %llu, \"engine\": \"%s\"",
+            "\"horizon\": %llu",
             c.nRH, c.timeScale,
             static_cast<unsigned long long>(c.llcBytes), c.channels,
             static_cast<unsigned long long>(c.seed),
-            static_cast<unsigned long long>(s.effectiveHorizon()),
-            engineName(s.engineKind()));
+            static_cast<unsigned long long>(s.effectiveHorizon()));
         if (row.quarantined) {
             // Explicit gap: the cell's identity with null metrics, so a
             // partially-quarantined campaign still renders every cell
@@ -434,7 +424,7 @@ ResultTable::writeCsv(std::FILE *out) const
 
     std::fputs(
         "workload,tracker,attack,baseline,label,nrh,time_scale,"
-        "llc_bytes,channels,seed,horizon,engine,benign_ipc,normalized,"
+        "llc_bytes,channels,seed,horizon,benign_ipc,normalized,"
         "baseline_ipc,mitigations,bulk_resets,counter_traffic,"
         "activations,max_damage,rh_violations,energy_nj",
         out);
@@ -445,14 +435,13 @@ ResultTable::writeCsv(std::FILE *out) const
         const Scenario &s = row.scenario;
         const SysConfig &c = s.configRef();
         std::fprintf(
-            out, "%s,%s,%s,%s,%s,%d,%.17g,%llu,%d,%llu,%llu,%s",
+            out, "%s,%s,%s,%s,%s,%d,%.17g,%llu,%d,%llu,%llu",
             s.workloadName().c_str(), s.trackerInfo().name.c_str(),
             s.attackInfo().name.c_str(), baselineName(s.baselineKind()),
             s.labelText().c_str(), c.nRH, c.timeScale,
             static_cast<unsigned long long>(c.llcBytes), c.channels,
             static_cast<unsigned long long>(c.seed),
-            static_cast<unsigned long long>(s.effectiveHorizon()),
-            engineName(s.engineKind()));
+            static_cast<unsigned long long>(s.effectiveHorizon()));
         if (row.quarantined) {
             // Explicit "--" gaps in the ten metric columns; the stat
             // columns stay empty like any other absent stat.

@@ -11,7 +11,7 @@
  * reads — so an nRH sweep shares one baseline), the baseline's attack,
  * the *effective* horizon (an explicit horizon and an equivalent
  * windows-derived one hit the same entry; different horizons never
- * collide), and the engine. Each baseline is simulated exactly once
+ * collide). Each baseline is simulated exactly once
  * even under concurrent grid workers (std::call_once per entry), and an
  * unprotected run executed directly doubles as the cached baseline for
  * its own configuration.

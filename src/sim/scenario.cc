@@ -124,13 +124,6 @@ Scenario::windows(int n)
 }
 
 Scenario &
-Scenario::engine(Engine e)
-{
-    engine_ = e;
-    return *this;
-}
-
-Scenario &
 Scenario::config(const SysConfig &cfg)
 {
     cfg_ = cfg;
@@ -186,7 +179,7 @@ Scenario::fingerprint() const
     std::ostringstream os;
     os << "cell|" << workload_ << '|' << attack_->name << '|'
        << tracker_->name << '|' << static_cast<int>(baseline_) << '|'
-       << effectiveHorizon() << '|' << static_cast<int>(engine_) << '|'
+       << effectiveHorizon() << '|'
        << detail::configFingerprint(cfg_);
     return os.str();
 }

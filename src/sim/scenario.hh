@@ -3,9 +3,9 @@
  * Declarative experiment specification.
  *
  * A Scenario is a value type bundling everything one simulation needs:
- * {workload, attack, tracker, baseline, horizon, engine, config
- * overrides}, with builder-style setters that resolve trackers and
- * attacks through the string registries:
+ * {workload, attack, tracker, baseline, horizon, config overrides},
+ * with builder-style setters that resolve trackers and attacks through
+ * the string registries:
  *
  *   Scenario s = Scenario()
  *                    .workload("429.mcf")
@@ -76,7 +76,6 @@ class Scenario
     Scenario &horizon(Tick ticks);
     /** Horizon as a number of (scaled) tREFW windows (default 2). */
     Scenario &windows(int n);
-    Scenario &engine(Engine e);
     /** Replace the whole config (overrides below tweak in place). */
     Scenario &config(const SysConfig &cfg);
     Scenario &nRH(int n);
@@ -95,7 +94,6 @@ class Scenario
     const TrackerInfo &trackerInfo() const { return *tracker_; }
     const AttackInfo &attackInfo() const { return *attack_; }
     Baseline baselineKind() const { return baseline_; }
-    Engine engineKind() const { return engine_; }
     const SysConfig &configRef() const { return cfg_; }
     SysConfig &configRef() { return cfg_; }
     const std::string &labelText() const { return label_; }
@@ -106,7 +104,7 @@ class Scenario
 
     /**
      * Canonical cell identity: workload, attack, tracker, baseline
-     * kind, *effective* horizon, engine, and the full config fingerprint
+     * kind, *effective* horizon, and the full config fingerprint
      * (every field, including the seed). Two scenarios with the same
      * fingerprint produce bit-identical results (seed purity), which is
      * what makes the fingerprint usable as a campaign resume key: the
@@ -125,7 +123,6 @@ class Scenario
     const TrackerInfo *tracker_;
     const AttackInfo *attack_;
     Baseline baseline_ = Baseline::Raw;
-    Engine engine_ = Engine::Event;
     Tick horizon_ = 0;
     int windows_ = 2;
     std::string label_;

@@ -99,7 +99,7 @@ System::run(Tick horizon)
 {
     // Event scheduling: controllers may memoize their issue-path scans
     // behind the stateGen_/watermark contract (see controller.hh); the
-    // reference loop keeps the pre-refactor per-visit schedule.
+    // per-tick oracle keeps the pre-refactor per-visit schedule.
     for (auto &mc : controllers_)
         mc->setEventScheduling(true);
 
@@ -184,22 +184,6 @@ System::exportStats(StatWriter &w) const
     {
         StatWriter s = w.scope("gt");
         groundTruth_->exportStats(s);
-    }
-}
-
-void
-System::runReference(Tick horizon)
-{
-    for (auto &mc : controllers_)
-        mc->setEventScheduling(false);
-    while (now_ < horizon) {
-        const Tick t = now_;
-        for (auto &core : cores_)
-            core->tick(t);
-        for (auto &mc : controllers_)
-            mc->tick(t);
-        serviceDeadlines(t);
-        ++now_;
     }
 }
 

@@ -47,16 +47,10 @@ class System
      * Advance the whole system to @p horizon ticks with the event-driven
      * scheduler: time jumps to the minimum of the component next-event
      * watermarks (see src/sim/scheduler.hh) instead of visiting every
-     * tick. Produces bit-identical stats to runReference().
+     * tick. Produces bit-identical stats to the per-tick oracle,
+     * ReferenceEngine::run (tests/oracle/).
      */
     void run(Tick horizon);
-
-    /**
-     * Reference tick-by-tick advance (the pre-scheduler loop): every
-     * component is ticked on every core cycle. Kept as the equivalence
-     * oracle for the event-driven engine; much slower.
-     */
-    void runReference(Tick horizon);
 
     double
     ipc(int core) const
@@ -93,8 +87,8 @@ class System
 
     /**
      * Attach a read-only tREFI-cadence observer (src/sim/probe.hh).
-     * Non-owning; the probe must outlive run()/runReference(). Both
-     * engines fire probes at identical ticks, and attaching one never
+     * Non-owning; the probe must outlive run(). run() and the per-tick
+     * oracle fire probes at identical ticks, and attaching one never
      * changes simulation results.
      */
     void attachProbe(Probe *probe) { probes_.push_back(probe); }
@@ -110,9 +104,13 @@ class System
     void exportStats(StatWriter &w) const;
 
   private:
+    /// The test-only per-tick oracle (tests/oracle/reference_engine.hh)
+    /// steps the same components and deadlines run() does.
+    friend class ReferenceEngine;
+
     void applySystemMitigations(const MitigationVec &actions, Tick now);
-    /** Periodic tracker hook + tREFW window boundary, shared by both
-     *  engines; fires when due at @p t. */
+    /** Periodic tracker hook + tREFW window boundary, shared with the
+     *  per-tick oracle; fires when due at @p t. */
     void serviceDeadlines(Tick t);
 
     SysConfig cfg_;

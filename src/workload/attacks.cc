@@ -1,7 +1,8 @@
 /**
  * @file
- * Performance-Attack address-stream generators (paper Sections III-B,
- * V-D, V-E) and the AttackRegistry table that names them.
+ * Performance-Attack address-stream generators (paper Sections III-B
+ * and V-E) and the AttackRegistry table that names them. The §V-D
+ * mapping-capture attack is analysed in closed form (src/analysis).
  *
  * Each generator emits the DRAM activation pattern the paper describes:
  *  - CacheThrash: classic LLC-thrashing stream (the baseline attack);
@@ -15,8 +16,7 @@
  *    Misra-Gries spillover counter (Fig 2d);
  *  - Streaming: activate every row in the rank (mapping-agnostic, §V-E);
  *  - RefreshAttack: hammer a few rows per bank to continually trigger
- *    group mitigations (mapping-agnostic, §V-E);
- *  - MappingProbe: the two-phase mapping-capturing probe of §V-D.
+ *    group mitigations (mapping-agnostic, §V-E).
  *
  * Attack accesses bypass the LLC (modeling engineered uncached access)
  * except CacheThrash, whose entire point is cache pollution.
@@ -222,44 +222,6 @@ class RefreshAttackGen : public AttackBase
     std::string name() const override { return "attack-refresh"; }
 };
 
-/**
- * Two-phase mapping-capturing probe (§V-D): hammer a target row to
- * N_M - 1, then sweep candidate rows in another bank watching for the
- * mitigation. The simulated attacker has no timing feedback loop here;
- * the closed-form success analysis lives in src/analysis.
- */
-class MappingProbeGen : public AttackBase
-{
-  public:
-    MappingProbeGen(const SysConfig &cfg, const AddressMapper &mapper,
-                    std::uint64_t seed)
-        : AttackBase(cfg, mapper, seed), hammerLeft_(cfg.nM() - 1)
-    {
-    }
-
-    TraceRecord
-    next() override
-    {
-        if (hammerLeft_ > 0) {
-            --hammerLeft_;
-            // Alternate two rows in bank 0 to defeat the open-row policy.
-            return record(0, 0, 0, 40960 + static_cast<int>(n_++ % 2) * 2);
-        }
-        // Phase 2: sweep rows in bank 1.
-        const int row = static_cast<int>(
-            probe_++ % static_cast<std::uint64_t>(cfg_.rowsPerBank));
-        if (probe_ % 4096 == 0)
-            hammerLeft_ = cfg_.nM() - 1; // Re-arm periodically.
-        return record(0, 0, 1, row);
-    }
-
-    std::string name() const override { return "attack-mapping-probe"; }
-
-  private:
-    int hammerLeft_;
-    std::uint64_t probe_ = 0;
-};
-
 /** Factory for a generator built from (cfg, mapper, seed) plus fixed
  *  @p extra constructor arguments. */
 template <typename T, typename... Extra>
@@ -289,7 +251,6 @@ AttackRegistry::AttackRegistry() : NamedRegistry("attack")
     add({.name = "abacus-spill", .make = generator<AbacusSpillGen>()});
     add({.name = "streaming", .make = generator<StreamingGen>(false)});
     add({.name = "refresh", .make = generator<RefreshAttackGen>()});
-    add({.name = "mapping-probe", .make = generator<MappingProbeGen>()});
 }
 
 } // namespace dapper

@@ -7,7 +7,8 @@
  * including a randomized stress, with and without BlockHammer-style
  * throttle re-queues, that cross-checks the cache-backed pick against
  * a brute-force windowed linear scan (auditQueues), and the same
- * stress run with the event engine's issue memo on vs. off.
+ * stress — plus a closed-loop round-robin load that fills the FR-FCFS
+ * scan window — run with the event engine's issue memo on vs. off.
  */
 
 #include <gtest/gtest.h>
@@ -421,53 +422,72 @@ TEST_F(ControllerTest, PickMatchesBruteForceReferenceUnderThrottleStress)
     EXPECT_GT(mc_.stats().throttledActs, 0u);
 }
 
+/** What the engine contract compares: completion stream and stats. */
+struct Observed
+{
+    std::vector<std::pair<Tick, DramAddress>> stream;
+    StatDict stats;
+    Tick visits = 0;
+};
+
 /**
- * Engine contract at controller level: a controller with the issue memo
- * on, visited only when its wake watermark is due (as System::run does),
- * must produce the same completion stream and stats as one with the
- * memo off that is ticked every tick. Returns the memo-on controller's
- * stats.
+ * Engine contract at controller level: run @p mc for kStressTicks
+ * ticks, calling @p feed(t) for each tick's stimulus, with the issue
+ * memo on and visited only when its watermark is due (@p event, as
+ * System::run does), or with the memo off and ticked every tick. Both
+ * ways must observe the same; expectSame checks it.
  */
-MemControllerStats
+template <typename Feed>
+Observed
+observe(MemController &mc, const CaptureSink &sink, bool event, Feed feed)
+{
+    mc.setEventScheduling(event);
+    Observed out;
+    for (Tick t = 0; t < kStressTicks; ++t) {
+        feed(t);
+        if (!event || t >= mc.nextWorkAt()) {
+            mc.tick(t);
+            ++out.visits;
+        }
+    }
+    for (const auto &[at, req] : sink.done)
+        out.stream.emplace_back(at, req.dram);
+    StatWriter writer(out.stats);
+    mc.exportStats(writer);
+    return out;
+}
+
+/** @p runs: [0] event visits, [1] every tick. */
+void
+expectSame(const Observed (&runs)[2])
+{
+    EXPECT_LT(runs[0].visits, kStressTicks);
+    EXPECT_TRUE(runs[0].stream == runs[1].stream);
+    EXPECT_TRUE(runs[0].stats == runs[1].stats);
+}
+
+/** The random stress both ways. A throttling tracker must have
+ *  delayed some ACTs. */
+void
 expectEventMatchesEveryTick(const SysConfig &cfg, Tracker *eventTracker,
                             Tracker *everyTracker)
 {
-    MemController event(cfg, 0, eventTracker, nullptr, nullptr);
-    MemController every(cfg, 0, everyTracker, nullptr, nullptr);
-    event.setEventScheduling(true);
-    every.setEventScheduling(false);
-    CaptureSink eventSink;
-    CaptureSink everySink;
-    StressStimulus stimulus;
-    Tick eventVisits = 0;
-    for (Tick t = 0; t < kStressTicks; ++t) {
-        stimulus.next();
-        stimulus.feed(event, &eventSink, t);
-        stimulus.feed(every, &everySink, t);
-        if (t >= event.nextWorkAt()) {
-            event.tick(t);
-            ++eventVisits;
+    Observed runs[2];
+    for (int every = 0; every < 2; ++every) {
+        MemController mc(cfg, 0, every ? everyTracker : eventTracker,
+                         nullptr, nullptr);
+        CaptureSink sink;
+        StressStimulus stimulus;
+        runs[every] = observe(mc, sink, every == 0, [&](Tick t) {
+            stimulus.next();
+            stimulus.feed(mc, &sink, t);
+        });
+        EXPECT_GT(mc.stats().reads + mc.stats().writes, 500u);
+        if (eventTracker != nullptr) {
+            EXPECT_GT(mc.stats().throttledActs, 0u);
         }
-        every.tick(t);
     }
-
-    EXPECT_GT(every.stats().reads + every.stats().writes, 500u);
-    EXPECT_LT(eventVisits, kStressTicks);
-    auto stream = [](const CaptureSink &sink) {
-        std::vector<std::pair<Tick, DramAddress>> out;
-        for (const auto &[at, req] : sink.done)
-            out.emplace_back(at, req.dram);
-        return out;
-    };
-    EXPECT_TRUE(stream(eventSink) == stream(everySink));
-    StatDict eventStats;
-    StatDict everyStats;
-    StatWriter eventWriter(eventStats);
-    StatWriter everyWriter(everyStats);
-    event.exportStats(eventWriter);
-    every.exportStats(everyWriter);
-    EXPECT_TRUE(eventStats == everyStats);
-    return event.stats();
+    expectSame(runs);
 }
 
 TEST(ControllerEngineContractTest, EventVisitsMatchEveryTick)
@@ -479,10 +499,7 @@ TEST(ControllerEngineContractTest, EventVisitsMatchEveryTickUnderThrottle)
 {
     HotRowThrottle eventThrottle;
     HotRowThrottle everyThrottle;
-    EXPECT_GT(expectEventMatchesEveryTick(SysConfig{}, &eventThrottle,
-                                          &everyThrottle)
-                  .throttledActs,
-              0u);
+    expectEventMatchesEveryTick(SysConfig{}, &eventThrottle, &everyThrottle);
 }
 
 TEST(ControllerEngineContractTest, EventVisitsMatchEveryTickShortMitigations)
@@ -497,6 +514,69 @@ TEST(ControllerEngineContractTest, EventVisitsMatchEveryTickShortMitigations)
     cfg.rfmSbNs = 1.0;
     cfg.tRASns = 400.0;
     expectEventMatchesEveryTick(cfg, nullptr, nullptr);
+}
+
+/**
+ * micro_controller's closed-loop load: every completion is replaced, so
+ * the read queue holds its depth, and request n goes to bank n mod 64
+ * (both ranks). Rows repeat for 8 visits to a bank (hit-friendly) or
+ * never (miss-heavy). From depth 48 on this fills the 48-entry FR-FCFS
+ * scan window, which the random stress above rarely does.
+ */
+struct RoundRobinLoad : CaptureSink
+{
+    MemController *mc = nullptr; ///< Built from a default SysConfig.
+    bool missHeavy = false;
+    std::uint64_t injected = 0;
+    const int perRank = SysConfig().banksPerRank();
+    const std::uint64_t banks = static_cast<std::uint64_t>(
+        SysConfig().ranksPerChannel * perRank);
+
+    void
+    inject(Tick now)
+    {
+        const int bank = static_cast<int>(injected % banks);
+        const std::uint64_t visit = injected / banks;
+        Request req;
+        req.dram = {0, bank / perRank, bank % perRank,
+                    static_cast<int>(missHeavy ? visit % 4096
+                                               : visit / 8 % 4),
+                    0};
+        req.type = ReqType::Read;
+        req.sink = this;
+        if (mc->enqueue(req, now))
+            ++injected;
+    }
+
+    void
+    memDone(const Request &req, Tick now) override
+    {
+        CaptureSink::memDone(req, now);
+        inject(now);
+    }
+};
+
+TEST(ControllerEngineContractTest, EventVisitsMatchEveryTickRoundRobin)
+{
+    for (const bool missHeavy : {false, true}) {
+        for (const std::uint64_t depth : {48u, 128u}) {
+            SCOPED_TRACE(std::to_string(depth) +
+                         (missHeavy ? " miss-heavy" : " hit-friendly"));
+            Observed runs[2];
+            for (int every = 0; every < 2; ++every) {
+                MemController mc(SysConfig{}, 0, nullptr, nullptr, nullptr);
+                RoundRobinLoad load;
+                load.mc = &mc;
+                load.missHeavy = missHeavy;
+                runs[every] = observe(mc, load, every == 0, [&](Tick t) {
+                    while (t == 0 && load.injected < depth)
+                        load.inject(0);
+                });
+                EXPECT_GT(load.done.size(), 20 * depth);
+            }
+            expectSame(runs);
+        }
+    }
 }
 
 } // namespace

@@ -9,7 +9,7 @@
 
 #include "src/common/rng.hh"
 #include "src/rh/ground_truth.hh"
-#include "src/rh/ground_truth_dense.hh"
+#include "tests/oracle/ground_truth_dense.hh"
 
 namespace dapper {
 namespace {
@@ -161,9 +161,9 @@ TEST(GroundTruth, AutoRefreshCoversTailRowsWithNonDivisibleRowCount)
 }
 
 // Differential: the epoch-stamped model must be observation-equivalent
-// to the dense reference (ground_truth_dense.hh) under randomized
-// interleavings of every event type, including a non-divisible row
-// count that exercises the short last slice.
+// to the dense reference (tests/oracle/ground_truth_dense.hh) under
+// randomized interleavings of every event type, including a
+// non-divisible row count that exercises the short last slice.
 TEST(GroundTruth, MatchesDenseReferenceUnderRandomInterleavings)
 {
     SysConfig cfg;

@@ -5,9 +5,9 @@
  * This is the pre-epoch implementation — per-row damage arrays with
  * eager sweeps on every refresh path — kept as an executable
  * specification only: tests/ground_truth_test.cc pins the epoch-stamped
- * GroundTruth against it across randomized event interleavings, and
- * bench/micro_groundtruth.cc uses it as the "before" side of the
- * before/after cost pin. The simulator itself never instantiates it.
+ * GroundTruth against it across randomized event interleavings. It is
+ * part of the test-only dapper_oracle target; the simulator never
+ * instantiates it.
  *
  * The auto-refresh slice rotation here carries the same coverage fix as
  * the production model: the slice count rounds up, so the tail rows of a
@@ -15,8 +15,8 @@
  * inside the rotation (the last slice is short).
  */
 
-#ifndef DAPPER_RH_GROUND_TRUTH_DENSE_HH
-#define DAPPER_RH_GROUND_TRUTH_DENSE_HH
+#ifndef DAPPER_TESTS_ORACLE_GROUND_TRUTH_DENSE_HH
+#define DAPPER_TESTS_ORACLE_GROUND_TRUTH_DENSE_HH
 
 #include <algorithm>
 #include <cstdint>
@@ -174,4 +174,4 @@ class DenseGroundTruth
 
 } // namespace dapper
 
-#endif // DAPPER_RH_GROUND_TRUTH_DENSE_HH
+#endif // DAPPER_TESTS_ORACLE_GROUND_TRUTH_DENSE_HH

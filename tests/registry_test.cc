@@ -113,7 +113,7 @@ TEST(RegistrySyncTest, BuiltinTablesKeepOrderNamesAndMetadata)
     const std::vector<std::string> attacks = {
         "none",         "cache-thrash", "hydra-rcc",
         "start-stream", "comet-rat",    "abacus-spill",
-        "streaming",    "refresh",      "mapping-probe",
+        "streaming",    "refresh",
     };
     std::vector<std::string> attackNames = AttackRegistry::instance().names();
     ASSERT_GE(attackNames.size(), attacks.size());

@@ -2,22 +2,29 @@
  * @file
  * Event-driven scheduler equivalence: System::run (next-event time
  * advance) must produce bit-identical RunResult stats to the
- * tick-by-tick reference loop (System::runReference) on the same seed —
- * including the *entire* exported stat dict (every component counter
- * and every tREFI probe series point), not just the typed RunResult
- * fields. This is the contract that lets every experiment and test run
- * on the fast engine — any divergence here is a scheduler bug, not
- * noise.
+ * tick-by-tick oracle (ReferenceEngine::run, tests/oracle/) on the same
+ * seed — including the *entire* exported stat dict (every component
+ * counter and every tREFI probe series point), not just the typed
+ * RunResult fields. This is the contract that lets every experiment and
+ * test run on the fast engine — any divergence here is a scheduler bug,
+ * not noise.
  *
  * Coverage: trackers with counter traffic (Hydra), LLC way reservation
  * (START), mitigation bursts (DAPPER-H), plus the unprotected system,
  * against no attack, a streaming attack, and a refresh-exploiting
- * attack.
+ * attack; and the fig03, fig14 and micro_core grids at timeScale 1024.
  */
 
 #include <gtest/gtest.h>
 
+#include <set>
+#include <string>
+#include <vector>
+
+#include "bench/bench_util.hh"
 #include "src/sim/experiment.hh"
+#include "src/sim/parallel_runner.hh"
+#include "tests/oracle/reference_engine.hh"
 
 namespace dapper {
 namespace {
@@ -70,6 +77,19 @@ expectIdentical(const RunResult &event, const RunResult &tick)
     EXPECT_TRUE(event.stats == tick.stats);
 }
 
+/** Run one configuration on both engines and compare the results. */
+void
+expectEnginesAgree(const SysConfig &cfg,
+                   const std::vector<std::string> &workloads,
+                   const std::string &attack, const std::string &tracker,
+                   Tick horizon)
+{
+    const AttackInfo &a = AttackRegistry::instance().at(attack);
+    const TrackerInfo &t = TrackerRegistry::instance().at(tracker);
+    expectIdentical(runOnce(cfg, workloads, a, t, horizon),
+                    runOnceReference(cfg, workloads, a, t, horizon));
+}
+
 class SchedulerEquivalence
     : public ::testing::TestWithParam<std::pair<const char *, const char *>>
 {
@@ -78,14 +98,7 @@ class SchedulerEquivalence
 TEST_P(SchedulerEquivalence, EventMatchesTickExactly)
 {
     const auto [tracker, attack] = GetParam();
-    const SysConfig cfg = smallCfg();
-    const Tick horizon = 300000;
-
-    const RunResult event = runOnce(cfg, "429.mcf", attack, tracker,
-                                    horizon, Engine::Event);
-    const RunResult tick = runOnce(cfg, "429.mcf", attack, tracker,
-                                   horizon, Engine::Tick);
-    expectIdentical(event, tick);
+    expectEnginesAgree(smallCfg(), {"429.mcf"}, attack, tracker, 300000);
 }
 
 INSTANTIATE_TEST_SUITE_P(
@@ -110,14 +123,8 @@ INSTANTIATE_TEST_SUITE_P(
 /** A compute-bound workload exercises the always-busy core fast path. */
 TEST(SchedulerEquivalenceComputeBound, EventMatchesTickExactly)
 {
-    const SysConfig cfg = smallCfg();
-    const RunResult event = runOnce(cfg, "456.hmmer", "none",
-                                    "dapper-s", 200000,
-                                    Engine::Event);
-    const RunResult tick = runOnce(cfg, "456.hmmer", "none",
-                                   "dapper-s", 200000,
-                                   Engine::Tick);
-    expectIdentical(event, tick);
+    expectEnginesAgree(smallCfg(), {"456.hmmer"}, "none", "dapper-s",
+                       200000);
 }
 
 /** Ultra-low threshold: dense throttling / mitigation blocking. */
@@ -125,60 +132,107 @@ TEST(SchedulerEquivalenceLowThreshold, EventMatchesTickExactly)
 {
     SysConfig cfg = smallCfg();
     cfg.nRH = 125;
-    const RunResult event = runOnce(cfg, "429.mcf", "none",
-                                    "blockhammer", 250000,
-                                    Engine::Event);
-    const RunResult tick = runOnce(cfg, "429.mcf", "none",
-                                   "blockhammer", 250000,
-                                   Engine::Tick);
-    expectIdentical(event, tick);
+    expectEnginesAgree(cfg, {"429.mcf"}, "none", "blockhammer", 250000);
 }
 
 /** DTR trace replay must be engine-invariant like every generator: the
  *  checked-in GC trace under a tracked, attacked system. */
 TEST(SchedulerEquivalenceTrace, TraceReplayMatchesAcrossEngines)
 {
-    const SysConfig cfg = smallCfg();
-    const Tick horizon = 300000;
-    const RunResult event =
-        runOnce(cfg, "trace-gc", "streaming",
-                "dapper-h", horizon, Engine::Event);
-    const RunResult tick =
-        runOnce(cfg, "trace-gc", "streaming",
-                "dapper-h", horizon, Engine::Tick);
-    expectIdentical(event, tick);
+    expectEnginesAgree(smallCfg(), {"trace-gc"}, "streaming", "dapper-h",
+                       300000);
 }
 
 /** Multi-program mixes (different trace per benign core + an attacker)
  *  must also be bit-identical across engines. */
 TEST(SchedulerEquivalenceMultiprog, MixedTracesMatchAcrossEngines)
 {
-    const SysConfig cfg = smallCfg();
-    const Tick horizon = 300000;
-    const std::vector<std::string> mix = {"trace-stream", "trace-ptrchase",
-                                          "trace-stencil"};
-    const AttackInfo &attack =
-        AttackRegistry::instance().at("cache-thrash");
-    const TrackerInfo &tracker = TrackerRegistry::instance().at("hydra");
-    const RunResult event =
-        runOnce(cfg, mix, attack, tracker, horizon, Engine::Event);
-    const RunResult tick =
-        runOnce(cfg, mix, attack, tracker, horizon, Engine::Tick);
-    expectIdentical(event, tick);
+    expectEnginesAgree(smallCfg(),
+                       {"trace-stream", "trace-ptrchase", "trace-stencil"},
+                       "cache-thrash", "hydra", 300000);
 }
 
 /** Longer horizon crossing a tREFW window boundary with mitigations. */
 TEST(SchedulerEquivalenceWindow, EventMatchesTickAcrossWindows)
 {
-    SysConfig cfg = smallCfg();
-    const Tick horizon = cfg.tREFW() + cfg.tREFW() / 4;
-    const RunResult event = runOnce(cfg, "510.parest", "refresh",
-                                    "comet", horizon,
-                                    Engine::Event);
-    const RunResult tick = runOnce(cfg, "510.parest", "refresh",
-                                   "comet", horizon,
-                                   Engine::Tick);
-    expectIdentical(event, tick);
+    const SysConfig cfg = smallCfg();
+    expectEnginesAgree(cfg, {"510.parest"}, "refresh", "comet",
+                       cfg.tREFW() + cfg.tREFW() / 4);
+}
+
+/** The benches' base scenario at --scale 1024, where tREFI is shorter
+ *  than tRC. */
+Scenario
+scaled(int windows)
+{
+    return Scenario().timeScale(1024.0).windows(windows);
+}
+
+/**
+ * Compare every cell of @p grid, plus the NoAttack baseline the bench
+ * divides it by: the cell's workload with no tracker and no attack,
+ * once per workload under the first cell's config (Runner shares it
+ * across an nRH sweep). Runs fan out across threads; each is seed-pure.
+ */
+void
+expectGridAgrees(const ScenarioGrid &grid)
+{
+    std::vector<Scenario> runs = grid.expand();
+    std::set<std::string> seen;
+    for (const Scenario &cell : grid.expand())
+        if (seen.insert(cell.workloadName()).second)
+            runs.push_back(Scenario(cell).tracker("none").attack("none")
+                               .label(cell.workloadName() + "/baseline"));
+    const std::vector<RunResult> results =
+        ParallelRunner().map(2 * runs.size(), [&](std::size_t i) {
+            const Scenario &s = runs[i / 2];
+            if (i % 2 == 0)
+                return runOnce(s.configRef(), s.workloadList(),
+                               s.attackInfo(), s.trackerInfo(),
+                               s.effectiveHorizon());
+            return runOnceReference(s.configRef(), s.workloadList(),
+                                    s.attackInfo(), s.trackerInfo(),
+                                    s.effectiveHorizon());
+        });
+    for (std::size_t k = 0; k < runs.size(); ++k) {
+        SCOPED_TRACE(runs[k].labelText());
+        expectIdentical(results[2 * k], results[2 * k + 1]);
+    }
+}
+
+/** fig03_perf_attacks --windows 2: five Perf-Attack columns over the
+ *  default population; two windows, so every tracker's tREFW reset
+ *  runs. */
+TEST(SchedulerEquivalenceScaled, Fig03GridMatchesCellByCell)
+{
+    ScenarioGrid grid(scaled(2));
+    grid.workloads(benchutil::population(benchutil::Options{}))
+        .cells({{"CacheThrash", "none", "cache-thrash", {}},
+                {"Hydra", "hydra", "hydra-rcc", {}},
+                {"START", "start", "start-stream", {}},
+                {"ABACUS", "abacus", "abacus-spill", {}},
+                {"CoMeT", "comet", "comet-rat", {}}});
+    expectGridAgrees(grid);
+}
+
+/** fig14_blockhammer --windows 1: BlockHammer is the only built-in
+ *  tracker with a throttle (throttleUntil re-queues). */
+TEST(SchedulerEquivalenceScaled, Fig14GridMatchesCellByCell)
+{
+    ScenarioGrid grid(scaled(1));
+    grid.nRH({125, 250, 500, 1000, 2000, 4000})
+        .trackers({"blockhammer", "dapper-h", "dapper-h-drfmsb"})
+        .workloads({"429.mcf", "510.parest", "ycsb-a"});
+    expectGridAgrees(grid);
+}
+
+/** micro_core: the bubble spectrum of the batched-retire path,
+ *  tracker- and attacker-free. */
+TEST(SchedulerEquivalenceScaled, MicroCoreCellsMatch)
+{
+    ScenarioGrid grid(scaled(2));
+    grid.workloads({"456.hmmer", "403.gcc", "429.mcf"});
+    expectGridAgrees(grid);
 }
 
 } // namespace

@@ -6,7 +6,7 @@
  * seed-purity contract of trace replay (seeds move only the start
  * offset), and the differential capture-vs-live contract: a DTR file
  * captured from a synthetic generator replays bit-identically to the
- * live generator, on both engines.
+ * live generator, on the event engine and the per-tick oracle.
  */
 
 #include <gtest/gtest.h>
@@ -22,6 +22,7 @@
 #include "src/trace/dtr.hh"
 #include "src/trace/replay.hh"
 #include "src/workload/workload_registry.hh"
+#include "tests/oracle/reference_engine.hh"
 
 namespace dapper {
 namespace {
@@ -415,8 +416,8 @@ TEST(TraceDifferential, CapturedTraceReplaysBitIdenticalToLiveGenerator)
     const Tick horizon = 200000;
     const std::string workload = "462.libquantum";
 
-    const RunResult live = runOnce(cfg, workload, "none", "dapper-h", horizon,
-                                   Engine::Event);
+    const RunResult live =
+        runOnce(cfg, workload, "none", "dapper-h", horizon);
 
     // Capture each core's stream with the exact runOnce seeding; size
     // the captures off the live run's own consumption so replay never
@@ -444,13 +445,13 @@ TEST(TraceDifferential, CapturedTraceReplaysBitIdenticalToLiveGenerator)
     // every core starts at record 0 — the exact-replay contract.
     const AttackInfo &none = AttackRegistry::instance().at("none");
     const TrackerInfo &dapperH = TrackerRegistry::instance().at("dapper-h");
-    const RunResult replayEvent = runOnce(cfg, traceNames, none, dapperH,
-                                          horizon, Engine::Event);
+    const RunResult replayEvent =
+        runOnce(cfg, traceNames, none, dapperH, horizon);
     expectIdenticalRuns(live, replayEvent);
 
-    // And the tick engine agrees with all of it.
-    const RunResult replayTick = runOnce(cfg, traceNames, none, dapperH,
-                                         horizon, Engine::Tick);
+    // And the per-tick oracle agrees with all of it.
+    const RunResult replayTick =
+        runOnceReference(cfg, traceNames, none, dapperH, horizon);
     expectIdenticalRuns(live, replayTick);
 
     for (const std::string &path : paths)

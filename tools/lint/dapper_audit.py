@@ -5,11 +5,11 @@ dapper_lint.py checks what a single file can prove lexically. The bug
 classes that actually bit this repo were semantic and cross-TU: PR 5
 found an LLC counter (`droppedWritebacks`) that was incremented but
 unreachable from any export, and the engine-equivalence contract
-(`System::run` vs `System::runReference` bit-identical) was guarded only
-by runtime differential tests. This tool consumes the CMake-exported
-compile database, builds a project-wide index (class -> members ->
-mutation sites -> export sites, plus an approximate call graph rooted at
-the two engine drivers) and checks four rules over it:
+(`System::run` vs the oracle `ReferenceEngine::run` bit-identical) was
+guarded only by runtime differential tests. This tool consumes the
+compile database, indexes src/ and tests/oracle/ (class -> members ->
+mutation sites -> export sites, plus an approximate call graph rooted
+at the two engine drivers) and checks four rules over it:
 
   stat-export-completeness  [error]  every counter member that some
         method of an exporting component monotonically increments must
@@ -25,7 +25,7 @@ the two engine drivers) and checks four rules over it:
         from Debug and breaks engine/bench bit-identity.
   engine-parity             [warn]   member-state mutation sites
         reachable (over the approximate name-resolved call graph) from
-        System::run but not System::runReference, or vice versa. The
+        System::run but not ReferenceEngine::run, or vice versa. The
         known-asymmetric event-engine machinery carries an inline
         DAPPER_LINT_ALLOW justifying why the asymmetry cannot leak into
         results; anything new is advisory until justified.
@@ -76,7 +76,7 @@ RULE_META = {
     },
     "engine-parity": {
         "description": "Member-state mutations reachable from only one of "
-                       "System::run / System::runReference",
+                       "System::run / ReferenceEngine::run",
         "severity": SEVERITY_WARNING,
     },
     "narrowing-address": {
@@ -661,7 +661,8 @@ def _impure_reasons(index, cond):
 # Rule: engine-parity.
 # ---------------------------------------------------------------------------
 
-ENGINE_ROOTS = (("System", "run"), ("System", "runReference"))
+# The event engine, and the per-tick oracle it must match (tests/oracle/).
+ENGINE_ROOTS = (("System", "run"), ("ReferenceEngine", "run"))
 
 
 def rule_engine_parity(index: ProjectIndex, scope_rels):
@@ -672,11 +673,12 @@ def rule_engine_parity(index: ProjectIndex, scope_rels):
         reach.append(_reachable(index, roots))
     run_only = reach[0] - reach[1]
     ref_only = reach[1] - reach[0]
-    roots = {f"{c}::{n}" for c, n in ENGINE_ROOTS}
+    run_root, ref_root = (f"{c}::{n}" for c, n in ENGINE_ROOTS)
+    roots = {run_root, ref_root}
     finds = []
     for only, this_root, other_root in (
-            (run_only, "System::run", "System::runReference"),
-            (ref_only, "System::runReference", "System::run")):
+            (run_only, run_root, ref_root),
+            (ref_only, ref_root, run_root)):
         for key in sorted(only):
             if key in roots:
                 continue  # the engine drivers ARE the asymmetry
@@ -813,6 +815,11 @@ def rule_narrowing_address(index: ProjectIndex, files, scope_rels):
 # Driver.
 # ---------------------------------------------------------------------------
 
+# Indexed whenever a compile DB is present (tests/oracle/ holds the
+# ReferenceEngine::run root of engine-parity).
+INDEX_ROOTS = ("src", "tests/oracle")
+
+
 def audit_files(paths, allowlist, compile_db=None, rules=None,
                 only_files=None):
     """Returns (findings, warnings). The index is always built over the
@@ -822,16 +829,17 @@ def audit_files(paths, allowlist, compile_db=None, rules=None,
     db_rels = compile_db_sources(compile_db)
     if db_rels:
         # The compile DB confirms a configured build exists; index the
-        # whole src/ tree (headers included — the DB lists only TUs, and
-        # a TU-only index would lose every class body) so cross-TU rules
-        # see the same world regardless of which files the caller named.
+        # whole of src/ and the oracle tree (headers included — the DB
+        # lists only TUs, and a TU-only index would lose every class
+        # body) so cross-TU rules see the same world regardless of which
+        # files the caller named.
         have = {relpath(p) for p in file_paths}
         for rel in db_rels:
             if rel not in have and (REPO_ROOT / rel).exists() and \
-                    rel.startswith("src/"):
+                    rel.startswith(tuple(d + "/" for d in INDEX_ROOTS)):
                 file_paths.append(REPO_ROOT / rel)
                 have.add(rel)
-        for p in collect_files([REPO_ROOT / "src"]):
+        for p in collect_files([REPO_ROOT / d for d in INDEX_ROOTS]):
             if relpath(p) not in have:
                 file_paths.append(p)
                 have.add(relpath(p))

@@ -34,14 +34,9 @@ class System
         }
     }
 
-    void
-    runReference(std::uint64_t horizon)
-    {
-        while (now_ < horizon)
-            step();
-    }
-
   private:
+    friend struct ReferenceEngine;
+
     void
     step()
     {
@@ -50,6 +45,16 @@ class System
 
     std::uint64_t now_ = 0;
     Scoreboard board_;
+};
+
+struct ReferenceEngine
+{
+    static void
+    run(System &sys, std::uint64_t horizon)
+    {
+        while (sys.now_ < horizon)
+            sys.step();
+    }
 };
 
 } // namespace fixture

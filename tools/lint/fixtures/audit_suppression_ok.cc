@@ -42,13 +42,6 @@ class System
         }
     }
 
-    void
-    runReference(std::uint64_t horizon)
-    {
-        while (now_ < horizon)
-            step();
-    }
-
     std::uint32_t
     packRow(Addr addr)
     {
@@ -60,6 +53,8 @@ class System
     }
 
   private:
+    friend struct ReferenceEngine;
+
     void
     step()
     {
@@ -68,6 +63,16 @@ class System
 
     std::uint64_t now_ = 0;
     Scoreboard board_;
+};
+
+struct ReferenceEngine
+{
+    static void
+    run(System &sys, std::uint64_t horizon)
+    {
+        while (sys.now_ < horizon)
+            sys.step();
+    }
 };
 
 } // namespace fixture

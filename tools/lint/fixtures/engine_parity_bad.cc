@@ -1,6 +1,6 @@
 // dapper-audit fixture: POSITIVE case for engine-parity.
 // `Scoreboard::bump` mutates member state and is reachable (over the
-// approximate call graph) from System::run but not System::runReference
+// approximate call graph) from System::run but not ReferenceEngine::run
 // — exactly the shape of an event-engine-only optimization that could
 // silently diverge the two engines.
 #include <cstdint>
@@ -32,14 +32,9 @@ class System
         }
     }
 
-    void
-    runReference(std::uint64_t horizon)
-    {
-        while (now_ < horizon)
-            step();
-    }
-
   private:
+    friend struct ReferenceEngine;
+
     void
     step()
     {
@@ -48,6 +43,16 @@ class System
 
     std::uint64_t now_ = 0;
     Scoreboard board_;
+};
+
+struct ReferenceEngine
+{
+    static void
+    run(System &sys, std::uint64_t horizon)
+    {
+        while (sys.now_ < horizon)
+            sys.step();
+    }
 };
 
 } // namespace fixture

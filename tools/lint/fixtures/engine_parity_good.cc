@@ -39,21 +39,14 @@ class System
     }
 
     void
-    runReference(std::uint64_t horizon)
-    {
-        while (now_ < horizon) {
-            board_.bump();
-            step();
-        }
-    }
-
-    void
     resetForNextCell()  // reachable from neither engine root: not parity
     {
         now_ = 0;
     }
 
   private:
+    friend struct ReferenceEngine;
+
     void
     step()
     {
@@ -62,6 +55,18 @@ class System
 
     std::uint64_t now_ = 0;
     Scoreboard board_;
+};
+
+struct ReferenceEngine
+{
+    static void
+    run(System &sys, std::uint64_t horizon)
+    {
+        while (sys.now_ < horizon) {
+            sys.board_.bump();
+            sys.step();
+        }
+    }
 };
 
 } // namespace fixture
