@@ -14,7 +14,7 @@ Llc::Llc(const SysConfig &cfg, const AddressMapper &mapper,
       sets_(cfg.llcSets()),
       ways_(cfg.llcWays),
       lineBits_(static_cast<unsigned>(mapper.lineBits())),
-      maxMshrs_(static_cast<std::size_t>(cfg.numCores) * cfg.coreMshrs * 4),
+      maxMshrs_(static_cast<std::size_t>(cfg.llcMshrs())),
       mshrs_(maxMshrs_),
       waiterPool_(maxMshrs_)
 {
@@ -33,8 +33,8 @@ Llc::Llc(const SysConfig &cfg, const AddressMapper &mapper,
     const std::size_t slots =
         static_cast<std::size_t>(sets_) * static_cast<std::size_t>(ways_);
     tags_.assign(slots, kInvalidTag);
-    lru_.assign(slots, 0);
-    dirty_.assign(slots, 0);
+    lru_ = std::make_unique_for_overwrite<std::uint32_t[]>(slots);
+    dirty_ = std::make_unique_for_overwrite<std::uint8_t[]>(slots);
 }
 
 void
@@ -62,6 +62,11 @@ Llc::reserveWays(int ways, Tick now)
     DAPPER_CHECK(ways >= 0 && ways < ways_,
                  "reserveWays: reservation out of range");
     reservedWays_ = ways;
+    // Every install and hit stamps through nextLru, and renormalizeLru
+    // restarts the clock at ways_ >= 2 (a reservation needs two ways),
+    // so a clock still at its initial 1 means no way was ever valid.
+    if (lruClock_ == 1)
+        return;
     // Evict everything sitting in the now-reserved ways. Dirty lines
     // become DRAM writebacks — the reconfiguration must not swallow
     // write traffic the lines still owe.
@@ -69,11 +74,11 @@ Llc::reserveWays(int ways, Tick now)
         const std::size_t base = wayBase(static_cast<std::uint64_t>(s));
         for (int w = 0; w < ways; ++w) {
             const std::size_t i = base + static_cast<std::size_t>(w);
-            if (tags_[i] != kInvalidTag && dirty_[i] != 0)
+            if (tags_[i] == kInvalidTag)
+                continue;
+            if (dirty_[i] != 0)
                 writeback(lineOf(tags_[i], s), now);
             tags_[i] = kInvalidTag;
-            lru_[i] = 0;
-            dirty_[i] = 0;
         }
     }
 }
@@ -183,20 +188,24 @@ Llc::insertLine(std::uint64_t lineAddr, bool dirty, Tick now)
 void
 Llc::renormalizeLru()
 {
-    // Rewrite every set's stamps as their rank order (0..ways-1). Ties
-    // (reset ways all hold stamp 0) keep the lower way index first,
-    // matching the strict-< victim scan's tie-break, so victim choices
-    // are unchanged forever after. Cost is O(sets * ways^2) but the
-    // clock only gets here after 2^32 - 1 touches.
+    // Rewrite every set's stamps as their rank order (0..ways-1). An
+    // invalid way ranks as stamp 0 (its lane holds no value). Ties keep
+    // the lower way index first, matching the strict-< victim scan's
+    // tie-break, so victim choices are unchanged forever after. Cost is
+    // O(sets * ways^2) but the clock only gets here after 2^32 - 1
+    // touches.
     DAPPER_CHECK(ways_ <= 64, "renormalizeLru: order[] buffer too small");
+    const auto stamp = [this](std::size_t i) {
+        return tags_[i] == kInvalidTag ? 0u : lru_[i];
+    };
     for (int s = 0; s < sets_; ++s) {
         const std::size_t base = wayBase(static_cast<std::uint64_t>(s));
         int order[64]; // way indices, sorted by (stamp, index)
         for (int w = 0; w < ways_; ++w) {
             int k = w;
-            while (k > 0 && lru_[base + static_cast<std::size_t>(
-                                       order[k - 1])] >
-                                lru_[base + static_cast<std::size_t>(w)]) {
+            while (k > 0 && stamp(base + static_cast<std::size_t>(
+                                             order[k - 1])) >
+                                stamp(base + static_cast<std::size_t>(w))) {
                 order[k] = order[k - 1];
                 --k;
             }

@@ -23,12 +23,22 @@
  * table is a flat open-addressing map keyed on line address
  * (src/common/flat_map.hh), so the miss path allocates nothing for the
  * table itself.
+ *
+ * Lane invariant: a way's LRU stamp and dirty bit have a value only
+ * while its tag is valid. Every read of those lanes sits behind a
+ * valid-tag test (renormalizeLru ranks an invalid way as stamp 0), so
+ * construction fills only the tag lane with the sentinel and leaves the
+ * LRU and dirty lanes uninitialized, and invalidating a way resets only
+ * its tag. A cold reservation (reserveWays before any line was
+ * installed) has nothing to evict and sweeps nothing, so START's
+ * reserved region costs a System build no pass over the cache.
  */
 
 #ifndef DAPPER_CACHE_LLC_HH
 #define DAPPER_CACHE_LLC_HH
 
 #include <cstdint>
+#include <memory>
 #include <vector>
 
 #include "src/common/arena.hh"
@@ -93,7 +103,7 @@ class Llc : public MemSink
      * Reserve the low @p ways of every set for RH counter lines (START).
      * Dirty demand lines displaced by the reconfiguration are written
      * back to DRAM (at @p now, the current simulation time), not
-     * dropped.
+     * dropped. On a cache that never installed a line this is O(1).
      */
     void reserveWays(int ways, Tick now);
     int reservedWays() const { return reservedWays_; }
@@ -132,6 +142,8 @@ class Llc : public MemSink
     static constexpr std::uint32_t kNoSlot = 0xffffffffu;
 
   private:
+    friend struct LlcTestPeer; // tests/llc_test.cc: presets lruClock_.
+
     /// Sentinel tag for invalid ways. The constructor checks every
     /// set-relative tag in the DRAM address space stays below this.
     static constexpr std::uint32_t kInvalidTag = ~std::uint32_t(0);
@@ -222,10 +234,11 @@ class Llc : public MemSink
     int reservedWays_ = 0;
     std::uint32_t lruClock_ = 1;
     /// SoA line state, each sets_ x ways_; ways [0, reservedWays_) hold
-    /// counter lines (START). tags_ is the scan lane.
+    /// counter lines (START). tags_ is the scan lane; lru_ and dirty_
+    /// are uninitialized until their way's tag turns valid.
     std::vector<std::uint32_t> tags_;
-    std::vector<std::uint32_t> lru_;
-    std::vector<std::uint8_t> dirty_;
+    std::unique_ptr<std::uint32_t[]> lru_;
+    std::unique_ptr<std::uint8_t[]> dirty_;
     std::size_t maxMshrs_;
     FlatMap64<MshrEntry> mshrs_;
     FreeListArena<Waiter> waiterPool_;

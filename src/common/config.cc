@@ -45,6 +45,10 @@ SysConfig::validate() const
         throw std::invalid_argument("rowGroupSize must be a power of two");
     if (timeScale < 1.0)
         throw std::invalid_argument("timeScale must be >= 1");
+    // The controller's completion FIFO relies on strictly increasing
+    // completion ticks, which a burst of at least one tick guarantees.
+    if (tBL() < 1)
+        throw std::invalid_argument("tBL must be at least one tick");
     if (rowsPerRank() % rowGroupSize != 0)
         throw std::invalid_argument("rowGroupSize must divide rowsPerRank");
 }

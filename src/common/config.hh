@@ -131,6 +131,8 @@ struct SysConfig
     }
 
     int linesPerRow() const { return rowBytes / lineBytes; }
+    /// Shared LLC MSHRs: four per core MSHR.
+    int llcMshrs() const { return numCores * coreMshrs * 4; }
     int llcSets() const
     {
         return static_cast<int>(llcBytes /

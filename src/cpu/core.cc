@@ -18,14 +18,10 @@ Core::Core(const SysConfig &cfg, int id, TraceGen *gen, Llc *llc,
       mapper_(mapper),
       mshrLimit_(mshrLimit),
       width_(cfg.coreWidth),
-      robSize_(cfg.robEntries)
+      robSize_(cfg.robEntries),
+      pending_(static_cast<std::size_t>(cfg.robEntries))
 {
     rob_.assign(static_cast<std::size_t>(robSize_), Slot{});
-    // Completion heap can hold at most one entry per ROB slot;
-    // pre-sizing it keeps the issue/completion path allocation-free.
-    std::vector<Pending> backing;
-    backing.reserve(static_cast<std::size_t>(robSize_));
-    pending_ = decltype(pending_)(std::greater<>(), std::move(backing));
 }
 
 std::uint32_t
@@ -38,7 +34,8 @@ Core::pushSlot(std::uint32_t bubbles, bool done)
     rob_[slot].bubblesBefore = bubbles;
     rob_[slot].done = done;
     rob_[slot].valid = true;
-    tail_ = (tail_ + 1) % robSize_;
+    if (++tail_ == robSize_)
+        tail_ = 0;
     ++count_;
     occupancy_ += static_cast<int>(bubbles) + 1;
     return slot;
@@ -47,7 +44,11 @@ Core::pushSlot(std::uint32_t bubbles, bool done)
 void
 Core::completeAt(std::uint32_t slot, Tick when)
 {
-    pending_.emplace(when, slot);
+    // pending_ pops from the front: an out-of-order push would complete
+    // a later slot before an earlier one is due.
+    DAPPER_CHECK(pending_.empty() || pending_.back().at <= when,
+                 "completeAt: completions must arrive in due order");
+    pending_.push_back({when, slot});
 }
 
 void
@@ -90,7 +91,7 @@ Core::tickEvent(Tick now, Tick limit)
                           "hot path; a violation alters timing, not stored "
                           "state, and core_test pins batched-vs-reference "
                           "bit-identical in debug builds");
-        assert(pending_.empty() || pending_.top().first > batchedUntil_);
+        assert(pending_.empty() || pending_.front().at > batchedUntil_);
         wakeAt_ = batchedUntil_ + 1;
         return;
     }
@@ -121,16 +122,15 @@ Core::tryBatch(Tick now, Tick limit)
     const std::uint32_t w = static_cast<std::uint32_t>(width_);
     if (headBubblesLeft_ < w)
         return;
-    // Bubble supply: every batched tick retires exactly `width` bubbles
-    // and never reaches the head's done flag. Signed arithmetic: the
-    // fetch-slack term below can be negative.
-    std::int64_t len = static_cast<std::int64_t>(headBubblesLeft_ / w);
-    // Fetch must stay occupancy-blocked throughout. The occupancy check
-    // precedes every resource check in the fetch loop, so MSHR/queue
-    // state is never read during the run; with a full ROB the loop is
-    // not entered at all. Occupancy shrinks by `width` per tick, so the
-    // run ends strictly before the first tick where the pending record
-    // would fit.
+    // Every batched tick retires exactly `width` bubbles and never
+    // reaches the head's done flag. Fetch must stay occupancy-blocked
+    // throughout. The occupancy check precedes every resource check in
+    // the fetch loop, so MSHR/queue state is never read during the run;
+    // with a full ROB the loop is not entered at all. Occupancy shrinks
+    // by `width` per tick, so the run ends strictly before the first
+    // tick where the pending record would fit. Signed arithmetic: the
+    // fetch slack can be negative.
+    std::int64_t slack = 0;
     if (count_ < robSize_) {
         if (!haveRec_) {
             // Same record tick(now + 1) would pull before its
@@ -139,24 +139,28 @@ Core::tryBatch(Tick now, Tick limit)
             rec_ = gen_->next();
             haveRec_ = true;
         }
-        const std::int64_t slack = static_cast<std::int64_t>(occupancy_) +
-                                   static_cast<std::int64_t>(rec_.bubbles) +
-                                   1 - static_cast<std::int64_t>(robSize_);
+        slack = static_cast<std::int64_t>(occupancy_) +
+                static_cast<std::int64_t>(rec_.bubbles) + 1 -
+                static_cast<std::int64_t>(robSize_);
         if (slack <= static_cast<std::int64_t>(w))
             return;
-        len = std::min(len, (slack - 1) / static_cast<std::int64_t>(w));
     }
-    // No scheduled completion may pop inside the batch (tick(now) drained
-    // everything due, so the top is always > now).
-    if (!pending_.empty())
-        len = std::min(len, static_cast<std::int64_t>(
-                                pending_.top().first - now - 1));
     // Never model past a stat-probe boundary or the last simulated tick:
     // batch state is applied eagerly, and a probe must read exactly the
     // end-of-its-own-tick retired count.
-    len = std::min(len, static_cast<std::int64_t>(limit - now));
+    std::int64_t len = static_cast<std::int64_t>(limit - now);
+    // No scheduled completion may pop inside the batch (tick(now) drained
+    // everything due, so the front is always > now).
+    if (!pending_.empty())
+        len = std::min(len, static_cast<std::int64_t>(
+                                pending_.front().at - now - 1));
     if (len < 1)
         return;
+    // Past every exit, the bubble supply and fetch slack bound the run;
+    // both quotients are >= 1 by the checks above.
+    len = std::min(len, static_cast<std::int64_t>(headBubblesLeft_ / w));
+    if (count_ < robSize_)
+        len = std::min(len, (slack - 1) / static_cast<std::int64_t>(w));
 
     const std::uint64_t bubbles =
         static_cast<std::uint64_t>(w) * static_cast<std::uint64_t>(len);
@@ -182,9 +186,9 @@ Core::tick(Tick now)
     resourceStalled_ = false;
 
     // Timed completions (LLC hits).
-    while (!pending_.empty() && pending_.top().first <= now) {
-        rob_[pending_.top().second].done = true;
-        pending_.pop();
+    while (!pending_.empty() && pending_.front().at <= now) {
+        rob_[pending_.front().slot].done = true;
+        pending_.pop_front();
         progress = true;
     }
 
@@ -212,7 +216,8 @@ Core::tick(Tick now)
         if (!head.done)
             break;
         head.valid = false;
-        head_ = (head_ + 1) % robSize_;
+        if (++head_ == robSize_)
+            head_ = 0;
         --count_;
         --occupancy_;
         ++retired_;
@@ -269,7 +274,7 @@ Core::tick(Tick now)
                 llc_->access(rec_.addr, false, this, slot, now);
             if (res == CacheResult::Blocked) {
                 // Undo the slot and retry next cycle.
-                tail_ = (tail_ + robSize_ - 1) % robSize_;
+                tail_ = (tail_ == 0 ? robSize_ : tail_) - 1;
                 --count_;
                 occupancy_ -= cost;
                 rob_[slot].valid = false;
@@ -291,7 +296,7 @@ Core::tick(Tick now)
     // change, so skipping them preserves bit-identical behaviour.
     wakeAt_ = progress ? now + 1
                        : (pending_.empty() ? kTickMax
-                                           : pending_.top().first);
+                                           : pending_.front().at);
 }
 
 } // namespace dapper

@@ -19,10 +19,10 @@
 #define DAPPER_CPU_CORE_HH
 
 #include <cstdint>
-#include <queue>
 #include <vector>
 
 #include "src/cache/llc.hh"
+#include "src/common/arena.hh"
 #include "src/common/config.hh"
 #include "src/mem/request.hh"
 #include "src/workload/trace_gen.hh"
@@ -84,7 +84,8 @@ class Core : public MemSink
             wake(at);
     }
 
-    /** LLC hit: complete slot at absolute time @p when. */
+    /** LLC hit: complete slot at absolute time @p when, which must not
+     *  precede an earlier call's (checked: pending_ is a FIFO). */
     void completeAt(std::uint32_t slot, Tick when);
     /** LLC hit helper: complete after @p delay from the current tick. */
     void completeAfter(std::uint32_t slot, Tick delay)
@@ -155,9 +156,18 @@ class Core : public MemSink
     std::uint64_t retired_ = 0;
     std::uint64_t memReads_ = 0;
 
-    using Pending = std::pair<Tick, std::uint32_t>;
-    std::priority_queue<Pending, std::vector<Pending>, std::greater<>>
-        pending_;
+    /// A scheduled LLC-hit completion (a plain struct: RingDeque needs
+    /// a trivially copyable element, which std::pair is not).
+    struct Pending
+    {
+        Tick at;
+        std::uint32_t slot;
+    };
+    /// Scheduled completions in due order. Hits complete at
+    /// now_ + llcHitLatency and now_ never decreases, so pushes arrive
+    /// sorted and a FIFO does a heap's job. Each entry is an uncompleted
+    /// ROB slot, so robSize_ entries always fit.
+    RingDeque<Pending> pending_;
 };
 
 } // namespace dapper

@@ -1,6 +1,7 @@
 #include "src/mem/controller.hh"
 
 #include <algorithm>
+#include <bit>
 
 #include "src/common/check.hh"
 
@@ -46,8 +47,19 @@ MemController::MemController(const SysConfig &cfg, int channel,
       tREFI_(cfg.tREFI()),
       tBL_(cfg.tBL()),
       tFAW_(cfg.tFAW()),
-      banksPerRank_(cfg.banksPerRank())
+      banksPerRank_(cfg.banksPerRank()),
+      rankShift_(std::countr_zero(
+          static_cast<unsigned>(cfg.banksPerRank()))),
+      groupShift_(std::countr_zero(
+          static_cast<unsigned>(cfg.banksPerGroup))),
+      inflight_(static_cast<std::size_t>(cfg.llcMshrs() +
+                                          cfg.numCores * cfg.coreMshrs))
 {
+    // ensureTiming's shifts need both factors of banksPerRank to be
+    // powers of two, which a power-of-two product guarantees.
+    DAPPER_CHECK(std::has_single_bit(
+                     static_cast<unsigned>(banksPerRank_)),
+                 "MemController: banks per rank must be a power of two");
     const int numBanks = cfg.ranksPerChannel * banksPerRank_;
     banks_.resize(static_cast<std::size_t>(numBanks));
     ranks_.resize(static_cast<std::size_t>(cfg.ranksPerChannel));
@@ -65,15 +77,6 @@ MemController::MemController(const SysConfig &cfg, int channel,
                             ~std::uint64_t(0));
     bankGen_.assign(static_cast<std::size_t>(numBanks), 0);
     rankGen_.assign(static_cast<std::size_t>(cfg.ranksPerChannel), 0);
-
-    // Pre-size the completion heap: the steady-state issue/completion
-    // path then performs no allocation at all.
-    {
-        std::vector<InFlight> backing;
-        backing.reserve(kReadQCap);
-        inflight_ = decltype(inflight_)(std::greater<InFlight>(),
-                                        std::move(backing));
-    }
 }
 
 MemController::BankState &
@@ -142,9 +145,9 @@ MemController::enqueue(const Request &req, Tick now)
 void
 MemController::serviceCompletions(Tick now)
 {
-    while (!inflight_.empty() && inflight_.top().doneAt <= now) {
-        const InFlight fin = inflight_.top();
-        inflight_.pop();
+    while (!inflight_.empty() && inflight_.front().doneAt <= now) {
+        const InFlight fin = inflight_.front();
+        inflight_.pop_front();
         if (fin.req.type == ReqType::Read) {
             const std::uint64_t lat =
                 static_cast<std::uint64_t>(fin.doneAt -
@@ -313,8 +316,7 @@ void
 MemController::ensureTiming(int b)
 {
     const std::size_t bi = static_cast<std::size_t>(b);
-    const std::size_t ri =
-        static_cast<std::size_t>(b) / static_cast<std::size_t>(banksPerRank_);
+    const std::size_t ri = bi >> rankShift_;
     const std::uint64_t stamp = chanGen_ + rankGen_[ri] + bankGen_[bi];
     if (bankTimingStamp_[bi] == stamp)
         return;
@@ -332,7 +334,7 @@ MemController::ensureTiming(int b)
     Tick actAt = std::max(base, bk.actReady);
     if (bk.openRow >= 0)
         actAt = std::max(actAt, bk.preReady + tRP_);
-    const int bankGroup = (b % banksPerRank_) / cfg_.banksPerGroup;
+    const int bankGroup = (b & (banksPerRank_ - 1)) >> groupShift_;
     const Tick rrd = (rk.lastActBankGroup == bankGroup) ? tRRDL_ : tRRDS_;
     if (rk.lastActAt > 0)
         actAt = std::max(actAt, rk.lastActAt + rrd);
@@ -502,7 +504,9 @@ MemController::issue(Request req, Tick now)
     }
 
     if (req.sink != nullptr || req.type == ReqType::Read) {
-        inflight_.push(InFlight{doneAt, req});
+        DAPPER_CHECK(inflight_.empty() || inflight_.back().doneAt < doneAt,
+                     "issue: completions must arrive in due order");
+        inflight_.push_back(InFlight{doneAt, req});
         wake(doneAt);
     }
     wake(now + 1);
@@ -580,7 +584,7 @@ MemController::recomputeWake(Tick now)
     // O(1): the refresh minimum is maintained incrementally.
     Tick next = nextWorkAt_;
     if (!inflight_.empty())
-        next = std::min(next, inflight_.top().doneAt);
+        next = std::min(next, inflight_.front().doneAt);
     next = std::min(next, refreshMin_);
     nextWorkAt_ = std::max(next, now + 1);
 }

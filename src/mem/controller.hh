@@ -30,7 +30,6 @@
 #define DAPPER_MEM_CONTROLLER_HH
 
 #include <cstdint>
-#include <queue>
 #include <vector>
 
 #include "src/common/arena.hh"
@@ -236,11 +235,6 @@ class MemController
     {
         Tick doneAt;
         Request req;
-        bool
-        operator>(const InFlight &other) const
-        {
-            return doneAt > other.doneAt;
-        }
     };
 
     /** One request queue: a bounded ring in arrival order, except that
@@ -312,6 +306,11 @@ class MemController
     const Tick tRCD_, tRP_, tCL_, tRC_, tRAS_, tRRDS_, tRRDL_, tWR_, tRFC_,
         tREFI_, tBL_, tFAW_;
     const int banksPerRank_;
+    /// log2(banksPerRank_) and log2(banksPerGroup): both are powers of
+    /// two (checked at construction), so ensureTiming shifts instead of
+    /// dividing.
+    const int rankShift_;
+    const int groupShift_;
 
     std::vector<BankState> banks_;
     std::vector<RankState> ranks_;
@@ -323,10 +322,13 @@ class MemController
     QueueState writeQ_{kWriteQCap};
     QueueState counterQ_{kCounterQCap};
     /// Issued requests by completion tick; serviceCompletions pops each
-    /// due entry and hands it to its sink's memDone.
-    std::priority_queue<InFlight, std::vector<InFlight>,
-                        std::greater<InFlight>>
-        inflight_;
+    /// due entry and hands it to its sink's memDone. The data bus
+    /// serialises completions (each doneAt is the new dataBusFree_, at
+    /// least the previous doneAt + tBL, and tBL >= 1), so pushes arrive
+    /// strictly in due order and a FIFO does a heap's job. Only reads
+    /// and sinked requests enter, so the LLC's MSHRs plus every core's
+    /// bypass MSHRs bound the ring.
+    RingDeque<InFlight> inflight_;
 
     MitigationVec scratch_;
     MemControllerStats stats_;

@@ -28,6 +28,8 @@ struct AttackInfo
     /// Stable lowercase CLI / JSON name ("refresh", "cache-thrash").
     std::string name;
     /// Build the attacker's trace generator ("none" builds nullptr).
+    /// No built-in attack reads the seed: their address streams are
+    /// deterministic functions of the config and mapping.
     std::function<std::unique_ptr<TraceGen>(
         const SysConfig &, const AddressMapper &, std::uint64_t seed)>
         make;

@@ -24,8 +24,6 @@
 
 #include "src/workload/attack_registry.hh"
 
-#include "src/common/rng.hh"
-
 namespace dapper {
 
 namespace {
@@ -34,9 +32,8 @@ namespace {
 class AttackBase : public TraceGen
 {
   public:
-    AttackBase(const SysConfig &cfg, const AddressMapper &mapper,
-               std::uint64_t seed)
-        : cfg_(cfg), mapper_(mapper), rng_(seed)
+    AttackBase(const SysConfig &cfg, const AddressMapper &mapper)
+        : cfg_(cfg), mapper_(mapper)
     {
     }
 
@@ -61,7 +58,6 @@ class AttackBase : public TraceGen
 
     SysConfig cfg_;
     const AddressMapper &mapper_;
-    Rng rng_;
     std::uint64_t n_ = 0;
 };
 
@@ -116,8 +112,8 @@ class StreamingGen : public AttackBase
 {
   public:
     StreamingGen(const SysConfig &cfg, const AddressMapper &mapper,
-                 std::uint64_t seed, bool cached)
-        : AttackBase(cfg, mapper, seed), cached_(cached)
+                 bool cached)
+        : AttackBase(cfg, mapper), cached_(cached)
     {
     }
 
@@ -222,15 +218,16 @@ class RefreshAttackGen : public AttackBase
     std::string name() const override { return "attack-refresh"; }
 };
 
-/** Factory for a generator built from (cfg, mapper, seed) plus fixed
- *  @p extra constructor arguments. */
+/** Factory for a generator built from (cfg, mapper) plus fixed
+ *  @p extra constructor arguments; the seed goes unread (see
+ *  AttackInfo::make). */
 template <typename T, typename... Extra>
 auto
 generator(Extra... extra)
 {
     return [=](const SysConfig &cfg, const AddressMapper &mapper,
-               std::uint64_t seed) -> std::unique_ptr<TraceGen> {
-        return std::make_unique<T>(cfg, mapper, seed, extra...);
+               std::uint64_t) -> std::unique_ptr<TraceGen> {
+        return std::make_unique<T>(cfg, mapper, extra...);
     };
 }
 

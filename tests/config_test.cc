@@ -87,6 +87,11 @@ TEST(Config, ValidationRejectsBadGeometry)
     cfg = SysConfig{};
     cfg.numCores = 0;
     EXPECT_THROW(cfg.validate(), std::invalid_argument);
+
+    // A zero-tick burst would let two completions share a tick.
+    cfg = SysConfig{};
+    cfg.tBLns = 0.0;
+    EXPECT_THROW(cfg.validate(), std::invalid_argument);
 }
 
 TEST(Config, DapperSResetDefaultsToWindow)

@@ -93,6 +93,17 @@ TEST_F(CoreTest, MemoryBoundIpcIsLatencyLimited)
     EXPECT_GT(core.memReads(), 100u);
 }
 
+// The completion queue is a FIFO: a completion due before one already
+// queued must abort, not pop late.
+TEST_F(CoreTest, OutOfOrderCompletionAborts)
+{
+    SyntheticGen gen(0, false, 64);
+    Core core(cfg_, 0, &gen, &llc_, {&mc0_, &mc1_}, &mapper_, 16);
+    core.completeAt(0, 100);
+    core.completeAt(1, 100); // Same due tick: fine.
+    EXPECT_DEATH(core.completeAt(2, 99), "due order");
+}
+
 TEST_F(CoreTest, BypassPathSkipsLlc)
 {
     SyntheticGen gen(0, true, 1 << 20);

@@ -12,7 +12,8 @@
  * Coverage: trackers with counter traffic (Hydra), LLC way reservation
  * (START), mitigation bursts (DAPPER-H), plus the unprotected system,
  * against no attack, a streaming attack, and a refresh-exploiting
- * attack; and the fig03, fig14 and micro_core grids at timeScale 1024.
+ * attack; and the fig03, fig14 and micro_core grids plus a
+ * resource-stalled cell at timeScale 1024.
  */
 
 #include <gtest/gtest.h>
@@ -232,6 +233,17 @@ TEST(SchedulerEquivalenceScaled, MicroCoreCellsMatch)
 {
     ScenarioGrid grid(scaled(2));
     grid.workloads({"456.hmmer", "403.gcc", "429.mcf"});
+    expectGridAgrees(grid);
+}
+
+/** Structural stalls: with one MSHR per core the shared LLC's 16 MSHRs
+ *  run out under 429.mcf, so cores stall on CacheResult::Blocked and
+ *  only a WakeHub broadcast wakes them; the streaming attacker adds
+ *  bypass traffic to the same read queues. */
+TEST(SchedulerEquivalenceScaled, ResourceStalledCoresMatch)
+{
+    ScenarioGrid grid(scaled(2).tweak([](SysConfig &c) { c.coreMshrs = 1; }));
+    grid.workloads({"429.mcf"}).attacks({"streaming"});
     expectGridAgrees(grid);
 }
 
