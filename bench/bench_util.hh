@@ -41,9 +41,10 @@ struct Options
 {
     bool full = false;       ///< All 57 workloads (default: subset).
     int nRH = 500;
-    /// Window compression (see DESIGN.md §1). 16 keeps per-window
-    /// counter accumulation high enough that benign-workload mitigation
-    /// dynamics (Fig. 11's 0.1%-avg / 4.4%-worst band) remain visible.
+    /// Window compression (DESIGN.md §1). At 16 trackers still act on
+    /// benign workloads, but less often than at scale 1, so overheads
+    /// read low (DESIGN.md §1's table: Fig. 11's worst case 1.35%
+    /// against 4.47% at scale 1).
     double timeScale = 16.0;
     int windows = 2;         ///< Simulated (scaled) tREFW windows.
     int jobs = 0;            ///< Sweep worker threads (0: auto).

@@ -66,7 +66,8 @@ replay(GroundTruth &gt, const SysConfig &cfg, int windows,
                                   cfg.rowsPerBank)));
                 gt.onActivation(c, r, b, row);
                 if ((acts & 63) == 0)
-                    gt.onVictimRefresh(c, r, b, row, cfg.blastRadius);
+                    gt.onMitigation(
+                        c, {Mitigation::Kind::VrrRow, c, r, b, row});
             }
             // One REF per rank, round-robin across the machine.
             for (int c = 0; c < cfg.channels; ++c)
@@ -74,8 +75,9 @@ replay(GroundTruth &gt, const SysConfig &cfg, int windows,
                     gt.onAutoRefresh(c, r);
             ++refs;
             if (refs % 4096 == 0)
-                gt.onBulkRankRefresh(0, (refs / 4096 - 1) %
-                                            cfg.ranksPerChannel);
+                gt.onMitigation(
+                    0, {Mitigation::Kind::BulkRank, 0,
+                        (refs / 4096 - 1) % cfg.ranksPerChannel, 0, 0});
         }
         // Boundary between windows, not after the last one, so the
         // checksum below probes live mid-window damage.

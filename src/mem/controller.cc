@@ -215,11 +215,6 @@ MemController::applyMitigation(const Mitigation &m, Tick now)
       case Mitigation::Kind::VrrRow:
         blockBank(m.rank, m.bank, now, cfg_.vrrTicks());
         ++stats_.vrrCommands;
-        if (groundTruth_ != nullptr)
-            groundTruth_->onVictimRefresh(channel_, m.rank, m.bank, m.row,
-                                          cfg_.blastRadius);
-        if (energy_ != nullptr)
-            energy_->addVictimRefresh(2 * cfg_.blastRadius);
         break;
       case Mitigation::Kind::DrfmSbRow: {
         // Same bank number across all bank groups is blocked.
@@ -228,11 +223,6 @@ MemController::applyMitigation(const Mitigation &m, Tick now)
             blockBank(m.rank, g * cfg_.banksPerGroup + bankInGroup, now,
                       cfg_.drfmSbTicks());
         ++stats_.vrrCommands;
-        if (groundTruth_ != nullptr)
-            groundTruth_->onVictimRefresh(channel_, m.rank, m.bank, m.row,
-                                          std::max(2, cfg_.blastRadius));
-        if (energy_ != nullptr)
-            energy_->addVictimRefresh(2 * std::max(2, cfg_.blastRadius));
         break;
       }
       case Mitigation::Kind::RfmSb: {
@@ -241,11 +231,6 @@ MemController::applyMitigation(const Mitigation &m, Tick now)
             blockBank(m.rank, g * cfg_.banksPerGroup + bankInGroup, now,
                       cfg_.rfmSbTicks());
         ++stats_.rfmCommands;
-        if (groundTruth_ != nullptr)
-            groundTruth_->onVictimRefresh(channel_, m.rank, m.bank, m.row,
-                                          cfg_.blastRadius);
-        if (energy_ != nullptr)
-            energy_->addVictimRefresh(2 * cfg_.blastRadius);
         break;
       }
       case Mitigation::Kind::AboRfm: {
@@ -254,11 +239,6 @@ MemController::applyMitigation(const Mitigation &m, Tick now)
             for (int b = 0; b < banksPerRank_; ++b)
                 blockBank(r, b, now, cfg_.rfmSbTicks() * 2);
         ++stats_.rfmCommands;
-        if (groundTruth_ != nullptr)
-            groundTruth_->onVictimRefresh(channel_, m.rank, m.bank, m.row,
-                                          cfg_.blastRadius);
-        if (energy_ != nullptr)
-            energy_->addVictimRefresh(2 * cfg_.blastRadius);
         break;
       }
       case Mitigation::Kind::BulkRank: {
@@ -269,8 +249,6 @@ MemController::applyMitigation(const Mitigation &m, Tick now)
         for (int b = 0; b < banksPerRank_; ++b)
             blockBank(m.rank, b, now, rk.blockedUntil - now);
         ++stats_.bulkResets;
-        if (groundTruth_ != nullptr)
-            groundTruth_->onBulkRankRefresh(channel_, m.rank);
         if (energy_ != nullptr)
             energy_->addBulkRefresh(cfg_.rowsPerRank());
         break;
@@ -287,8 +265,6 @@ MemController::applyMitigation(const Mitigation &m, Tick now)
                 blockBank(r, b, now, channelBlockedUntil_ - now);
         }
         ++stats_.bulkResets;
-        if (groundTruth_ != nullptr)
-            groundTruth_->onBulkChannelRefresh(channel_);
         if (energy_ != nullptr)
             energy_->addBulkRefresh(cfg_.rowsPerRank() *
                                     cfg_.ranksPerChannel);
@@ -309,6 +285,12 @@ MemController::applyMitigation(const Mitigation &m, Tick now)
         break;
       }
     }
+    // GroundTruth owns which rows each kind refreshes; energy books the
+    // same victim rows, edge rows included (bulk rows are booked above).
+    if (groundTruth_ != nullptr)
+        groundTruth_->onMitigation(channel_, m);
+    if (energy_ != nullptr)
+        energy_->addVictimRefresh(2 * victimRadius(m, cfg_));
     wake(now);
 }
 

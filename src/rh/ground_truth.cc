@@ -183,16 +183,20 @@ GroundTruth::onActivation(int channel, int rank, int bank, int row)
 }
 
 void
-GroundTruth::onVictimRefresh(int channel, int rank, int bank, int row,
-                             int blastRadius)
+GroundTruth::onMitigation(int channel, const Mitigation &m)
 {
-    const std::size_t base = bankBase(channel, rank, bank);
-    for (int d = 1; d <= blastRadius; ++d) {
-        if (row - d >= 0)
-            cells_[base + static_cast<std::size_t>(row - d)] =
+    if (m.kind == Mitigation::Kind::BulkRank)
+        rankClear_[rankIndex(channel, m.rank)] = nextClearEpoch();
+    else if (m.kind == Mitigation::Kind::BulkChannel)
+        chanClear_[static_cast<std::size_t>(channel)] = nextClearEpoch();
+    const int radius = victimRadius(m, cfg_);
+    const std::size_t base = bankBase(channel, m.rank, m.bank);
+    for (int d = 1; d <= radius; ++d) {
+        if (m.row - d >= 0)
+            cells_[base + static_cast<std::size_t>(m.row - d)] =
                 makeCell(epochClock_, 0);
-        if (row + d < rowsPerBank_)
-            cells_[base + static_cast<std::size_t>(row + d)] =
+        if (m.row + d < rowsPerBank_)
+            cells_[base + static_cast<std::size_t>(m.row + d)] =
                 makeCell(epochClock_, 0);
     }
 }
@@ -205,18 +209,6 @@ GroundTruth::onAutoRefresh(int channel, int rank)
     sliceClear_[rankIdx * static_cast<std::size_t>(sliceCount_) +
                 static_cast<std::size_t>(slice)] = nextClearEpoch();
     slice = (slice + 1) % sliceCount_;
-}
-
-void
-GroundTruth::onBulkRankRefresh(int channel, int rank)
-{
-    rankClear_[rankIndex(channel, rank)] = nextClearEpoch();
-}
-
-void
-GroundTruth::onBulkChannelRefresh(int channel)
-{
-    chanClear_[static_cast<std::size_t>(channel)] = nextClearEpoch();
 }
 
 void

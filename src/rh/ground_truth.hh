@@ -36,6 +36,7 @@
 #include "src/common/config.hh"
 #include "src/common/stats.hh"
 #include "src/common/zeroed_buffer.hh"
+#include "src/rh/tracker.hh"
 
 namespace dapper {
 
@@ -72,20 +73,14 @@ class GroundTruth
     }
 
     /**
-     * Victim-row refresh around an aggressor: rows within @p blastRadius
-     * on each side are refreshed (damage cleared).
+     * Mitigation @p m was applied on @p channel: clear victimRadius(m)
+     * rows each side of its row (this model's tracker-adjusted config),
+     * or its whole rank / channel for BulkRank / BulkChannel.
      */
-    void onVictimRefresh(int channel, int rank, int bank, int row,
-                         int blastRadius);
+    void onMitigation(int channel, const Mitigation &m);
 
     /** Auto-refresh: the rank's next slice of rows in every bank. */
     void onAutoRefresh(int channel, int rank);
-
-    /** Bulk refresh of every row in the rank. */
-    void onBulkRankRefresh(int channel, int rank);
-
-    /** Bulk refresh of every row in the channel. */
-    void onBulkChannelRefresh(int channel);
 
     /** tREFW boundary: damage accounting is per-window (Section II-C). */
     void onWindowBoundary();

@@ -88,12 +88,12 @@ HydraTracker::onActivation(const ActEvent &e, MitigationVec &out)
         int cRow = 0;
         if (victim->valid && victim->dirty) {
             counterLocation(victim->rowId, cBank, cRow);
-            out.push_back(Mitigation::counterWrite(e.channel, e.rank,
-                                                   cBank, cRow));
+            out.push_back({Mitigation::Kind::CounterWrite, e.channel,
+                           e.rank, cBank, cRow});
         }
         counterLocation(rowId, cBank, cRow);
-        out.push_back(Mitigation::counterRead(e.channel, e.rank, cBank,
-                                              cRow));
+        out.push_back(
+            {Mitigation::Kind::CounterRead, e.channel, e.rank, cBank, cRow});
         victim->rowId = rowId;
         victim->valid = true;
         victim->dirty = false;

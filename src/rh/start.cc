@@ -40,10 +40,10 @@ StartTracker::onActivation(const ActEvent &e, MitigationVec &out)
             int cRow = 0;
             counterLocation(rowId, cBank, cRow);
             if (res.evictedDirty)
-                out.push_back(Mitigation::counterWrite(e.channel, e.rank,
-                                                       cBank, cRow));
-            out.push_back(Mitigation::counterRead(e.channel, e.rank, cBank,
-                                                  cRow));
+                out.push_back({Mitigation::Kind::CounterWrite, e.channel,
+                               e.rank, cBank, cRow});
+            out.push_back({Mitigation::Kind::CounterRead, e.channel, e.rank,
+                           cBank, cRow});
         }
     }
 

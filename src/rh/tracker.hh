@@ -14,6 +14,7 @@
 #ifndef DAPPER_RH_TRACKER_HH
 #define DAPPER_RH_TRACKER_HH
 
+#include <algorithm>
 #include <cstdint>
 #include <string>
 #include <vector>
@@ -55,26 +56,31 @@ struct Mitigation
     std::int32_t rank = 0;
     std::int32_t bank = 0;
     std::int32_t row = 0;
-
-    static Mitigation
-    vrr(std::int32_t ch, std::int32_t rank, std::int32_t bank,
-        std::int32_t row)
-    {
-        return {Kind::VrrRow, ch, rank, bank, row};
-    }
-    static Mitigation
-    counterRead(std::int32_t ch, std::int32_t rank, std::int32_t bank,
-                std::int32_t row)
-    {
-        return {Kind::CounterRead, ch, rank, bank, row};
-    }
-    static Mitigation
-    counterWrite(std::int32_t ch, std::int32_t rank, std::int32_t bank,
-                 std::int32_t row)
-    {
-        return {Kind::CounterWrite, ch, rank, bank, row};
-    }
 };
+
+/**
+ * Victim rows @p m refreshes on each side of (rank, bank, row); 0 for
+ * bulk resets (whole rank / channel) and counter traffic (nothing).
+ * GroundTruth::onMitigation and the controller's energy count use it.
+ */
+inline int
+victimRadius(const Mitigation &m, const SysConfig &cfg)
+{
+    switch (m.kind) {
+      case Mitigation::Kind::VrrRow:
+      case Mitigation::Kind::RfmSb:
+      case Mitigation::Kind::AboRfm:
+        return cfg.blastRadius;
+      case Mitigation::Kind::DrfmSbRow:
+        return std::max(2, cfg.blastRadius);
+      case Mitigation::Kind::BulkRank:
+      case Mitigation::Kind::BulkChannel:
+      case Mitigation::Kind::CounterRead:
+      case Mitigation::Kind::CounterWrite:
+        break;
+    }
+    return 0;
+}
 
 using MitigationVec = std::vector<Mitigation>;
 
@@ -119,7 +125,8 @@ class Tracker
     /**
      * Periodic hook driven by the controller clock for trackers with
      * sub-tREFW periods (CoMeT tREFW/3 reset, DAPPER-S treset, PrIDE RFM
-     * cadence). Called at every ACT issue and at tREFI boundaries.
+     * cadence). System calls it every max(1, tREFI / 4) ticks; the
+     * controller never calls it.
      */
     virtual void onPeriodic(Tick now, MitigationVec &out)
     {

@@ -14,6 +14,7 @@
 #include <gtest/gtest.h>
 
 #include <cstdint>
+#include <cstdlib>
 #include <string>
 #include <utility>
 #include <vector>
@@ -191,11 +192,69 @@ TEST_F(ControllerTest, BulkRankRefreshBlocksWholeRankForLong)
 
 TEST_F(ControllerTest, CounterTrafficIsCountedAndServed)
 {
-    mc_.applyMitigation(Mitigation::counterRead(0, 0, 5, 60000), 0);
-    mc_.applyMitigation(Mitigation::counterWrite(0, 0, 5, 60000), 0);
+    mc_.applyMitigation({Mitigation::Kind::CounterRead, 0, 0, 5, 60000}, 0);
+    mc_.applyMitigation({Mitigation::Kind::CounterWrite, 0, 0, 5, 60000}, 0);
     runTo(2000);
     EXPECT_EQ(mc_.stats().counterReads, 1u);
     EXPECT_EQ(mc_.stats().counterWrites, 1u);
+}
+
+// Which rows each mitigation kind refreshes, pinned through
+// applyMitigation at BR 1 and 2: GroundTruth clears exactly the
+// footprint (nothing in a neighbouring bank, the other rank or the other
+// channel) and EnergyModel books the row counts it always has. The
+// footprints are written out here, not read from victimRadius().
+TEST(ControllerFootprint, EachKindClearsExactlyItsRows)
+{
+    using K = Mitigation::Kind;
+    // Sites: the target bank, a neighbouring bank, the other rank, the
+    // other channel. A scope clears its leading `scope` sites.
+    const int sites[4][3] = {{0, 1, 5}, {0, 1, 6}, {0, 0, 5}, {1, 1, 5}};
+    enum Scope { None = 0, Rows = 1, Rank = 2, Channel = 3 };
+    const struct
+    {
+        K kind;
+        Scope scope;
+        int radius[2]; ///< Victim rows per side at BR 1, BR 2.
+        std::uint64_t bulkRows;
+    } table[] = {
+        {K::VrrRow, Rows, {1, 2}, 0},      {K::DrfmSbRow, Rows, {2, 2}, 0},
+        {K::RfmSb, Rows, {1, 2}, 0},       {K::AboRfm, Rows, {1, 2}, 0},
+        {K::BulkRank, Rank, {0, 0}, 2097152},
+        {K::BulkChannel, Channel, {0, 0}, 4194304},
+        {K::CounterRead, None, {0, 0}, 0}, {K::CounterWrite, None, {0, 0}, 0},
+    };
+    for (const auto &x : table) {
+        for (int br = 1; br <= 2; ++br) {
+            SCOPED_TRACE(testing::Message() << "kind "
+                                            << static_cast<int>(x.kind)
+                                            << " BR " << br);
+            SysConfig cfg;
+            cfg.blastRadius = br;
+            GroundTruth gt(cfg);
+            EnergyModel energy;
+            MemController mc(cfg, 0, nullptr, &gt, &energy);
+            // ACTs on rows 495..505 leave damage 2 on 496..504 per site.
+            for (const auto &s : sites)
+                for (int row = 495; row <= 505; ++row)
+                    gt.onActivation(s[0], s[1], s[2], row);
+
+            mc.applyMitigation({x.kind, 0, 1, 5, 500}, 0);
+
+            const int radius = x.radius[br - 1];
+            for (int i = 0; i < 4; ++i)
+                for (int d = -4; d <= 4; ++d) {
+                    const bool inRadius =
+                        x.scope != Rows || (d != 0 && std::abs(d) <= radius);
+                    EXPECT_EQ(gt.damageOf(sites[i][0], sites[i][1],
+                                          sites[i][2], 500 + d),
+                              i < x.scope && inRadius ? 0u : 2u)
+                        << "site " << i << " row " << 500 + d;
+                }
+            EXPECT_EQ(energy.vrrRows(), 2u * static_cast<unsigned>(radius));
+            EXPECT_EQ(energy.bulkRows(), x.bulkRows);
+        }
+    }
 }
 
 TEST_F(ControllerTest, WritesEventuallyDrain)

@@ -50,12 +50,13 @@ TEST(GroundTruth, VictimRefreshClearsBlastRadius)
         gt.onActivation(0, 0, 0, 500);
         gt.onActivation(0, 0, 0, 503);
     }
-    gt.onVictimRefresh(0, 0, 0, 500, 1);
+    gt.onMitigation(0, {Mitigation::Kind::VrrRow, 0, 0, 0, 500}); // BR1.
     EXPECT_EQ(gt.damageOf(0, 0, 0, 499), 0u);
     EXPECT_EQ(gt.damageOf(0, 0, 0, 501), 0u);
     EXPECT_EQ(gt.damageOf(0, 0, 0, 502), 50u); // Other aggressor's victim.
 
-    gt.onVictimRefresh(0, 0, 0, 503, 2); // BR2 reaches 501..505.
+    // DRFMsb refreshes at least two rows each side: 501..505.
+    gt.onMitigation(0, {Mitigation::Kind::DrfmSbRow, 0, 0, 0, 503});
     EXPECT_EQ(gt.damageOf(0, 0, 0, 502), 0u);
     EXPECT_EQ(gt.damageOf(0, 0, 0, 504), 0u);
 }
@@ -89,10 +90,10 @@ TEST(GroundTruth, BulkRefreshClearsRank)
     GroundTruth gt(smallCfg());
     gt.onActivation(0, 0, 5, 100);
     gt.onActivation(0, 1, 5, 100);
-    gt.onBulkRankRefresh(0, 0);
+    gt.onMitigation(0, {Mitigation::Kind::BulkRank, 0, 0, 0, 0});
     EXPECT_EQ(gt.damageOf(0, 0, 5, 101), 0u);
     EXPECT_EQ(gt.damageOf(0, 1, 5, 101), 1u); // Other rank untouched.
-    gt.onBulkChannelRefresh(0);
+    gt.onMitigation(0, {Mitigation::Kind::BulkChannel, 0, 0, 0, 0});
     EXPECT_EQ(gt.damageOf(0, 1, 5, 101), 0u);
 }
 
@@ -163,25 +164,38 @@ TEST(GroundTruth, AutoRefreshCoversTailRowsWithNonDivisibleRowCount)
 // Differential: the epoch-stamped model must be observation-equivalent
 // to the dense reference (tests/oracle/ground_truth_dense.hh) under
 // randomized interleavings of every event type, including a
-// non-divisible row count that exercises the short last slice.
+// non-divisible row count that exercises the short last slice. The
+// epoch model takes refreshes as tracker Mitigations of every kind, at
+// blast radii 1-3; the dense model takes the primitive refresh each
+// kind implies, written out here independently of victimRadius().
 TEST(GroundTruth, MatchesDenseReferenceUnderRandomInterleavings)
 {
     SysConfig cfg;
-    cfg.nRH = 40;
+    cfg.nRH = 16;
     cfg.channels = 2;
     cfg.ranksPerChannel = 2;
     cfg.bankGroups = 2;
     cfg.banksPerGroup = 2;
     const int rowCounts[] = {4096, 3 * 8192 + 1};
+    using Kind = Mitigation::Kind;
+    // Bulk kinds are drawn separately and rarely (with window boundaries,
+    // about one per 5000 ops), so victim damage builds up between them.
+    constexpr Kind kRowOrCounter[] = {Kind::VrrRow,      Kind::DrfmSbRow,
+                                      Kind::RfmSb,       Kind::AboRfm,
+                                      Kind::CounterRead, Kind::CounterWrite};
 
-    for (const int rows : rowCounts) {
+    for (int run = 0; run < 6; ++run) {
+        const int rows = rowCounts[run / 3];
+        const int br = 1 + run % 3;
+        SCOPED_TRACE(testing::Message() << "rows " << rows << " BR " << br);
         cfg.rowsPerBank = rows;
+        cfg.blastRadius = br;
         GroundTruth epoch(cfg);
         DenseGroundTruth dense(cfg);
         ASSERT_EQ(epoch.sliceRows(), dense.sliceRows());
         ASSERT_EQ(epoch.sliceCount(), dense.sliceCount());
 
-        Rng rng(0xd1fful + static_cast<unsigned>(rows));
+        Rng rng(0xd1fful + static_cast<unsigned>(rows * 4 + br));
         // A few hot aggressors per bank drive damage toward nRH; the
         // rest is background noise across the whole bank.
         const int banks = cfg.banksPerRank();
@@ -190,6 +204,24 @@ TEST(GroundTruth, MatchesDenseReferenceUnderRandomInterleavings)
                 return 100 + static_cast<int>(rng.below(8)) * 7;
             return static_cast<int>(rng.below(
                 static_cast<std::uint64_t>(rows)));
+        };
+        // The hot aggressors and every victim within distance 3 of one.
+        auto hotRegionRow = [&]() {
+            return 97 + static_cast<int>(rng.below(56));
+        };
+
+        const auto mitigate = [&](const Mitigation &m) {
+            epoch.onMitigation(m.channel, m);
+            if (m.kind == Kind::BulkRank)
+                dense.onBulkRankRefresh(m.channel, m.rank);
+            else if (m.kind == Kind::BulkChannel)
+                dense.onBulkChannelRefresh(m.channel);
+            else if (m.kind == Kind::DrfmSbRow)
+                dense.onVictimRefresh(m.channel, m.rank, m.bank, m.row,
+                                      br < 2 ? 2 : br);
+            else if (m.kind != Kind::CounterRead &&
+                     m.kind != Kind::CounterWrite)
+                dense.onVictimRefresh(m.channel, m.rank, m.bank, m.row, br);
         };
 
         for (int op = 0; op < 60000; ++op) {
@@ -204,20 +236,19 @@ TEST(GroundTruth, MatchesDenseReferenceUnderRandomInterleavings)
                 const int row = randomRow();
                 epoch.onActivation(c, r, b, row);
                 dense.onActivation(c, r, b, row);
-            } else if (dice < 0.85) {
-                const int row = randomRow();
-                const int br = 1 + static_cast<int>(rng.below(2));
-                epoch.onVictimRefresh(c, r, b, row, br);
-                dense.onVictimRefresh(c, r, b, row, br);
-            } else if (dice < 0.97) {
+            } else if (dice < 0.88) {
+                // Mostly aimed across the hot region, so victims at
+                // every distance up to 3 carry damage.
+                const int row =
+                    rng.chance(0.7) ? hotRegionRow() : randomRow();
+                mitigate({kRowOrCounter[rng.below(6)], c, r, b, row});
+            } else if (dice < 0.8804) {
+                mitigate({rng.chance(0.5) ? Kind::BulkRank
+                                          : Kind::BulkChannel,
+                          c, r, b, 0});
+            } else if (dice < 0.9998) {
                 epoch.onAutoRefresh(c, r);
                 dense.onAutoRefresh(c, r);
-            } else if (dice < 0.98) {
-                epoch.onBulkRankRefresh(c, r);
-                dense.onBulkRankRefresh(c, r);
-            } else if (dice < 0.99) {
-                epoch.onBulkChannelRefresh(c);
-                dense.onBulkChannelRefresh(c);
             } else {
                 epoch.onWindowBoundary();
                 dense.onWindowBoundary();
@@ -229,7 +260,8 @@ TEST(GroundTruth, MatchesDenseReferenceUnderRandomInterleavings)
                 ASSERT_EQ(epoch.maxDamageEver(), dense.maxDamageEver())
                     << "op " << op;
                 for (int probe = 0; probe < 32; ++probe) {
-                    const int pr = randomRow();
+                    const int pr =
+                        rng.chance(0.5) ? hotRegionRow() : randomRow();
                     ASSERT_EQ(epoch.damageOf(c, r, b, pr),
                               dense.damageOf(c, r, b, pr))
                         << "op " << op << " row " << pr;

@@ -2,94 +2,29 @@
  * @file
  * RowHammer security property tests: for every deterministic counting
  * tracker and for each adversarial activation pattern, drive the tracker
- * directly with an activation stream and a victim-damage model and
- * assert that no victim row accumulates N_RH disturbances within a
- * refresh window (the paper's Section II-C attack-success criterion).
+ * directly with an activation stream and assert that no victim row
+ * accumulates N_RH disturbances within a refresh window (the paper's
+ * Section II-C attack-success criterion).
  *
- * The harness mirrors what the full-system GroundTruth checker does, but
- * at tracker granularity so thousands of windows are cheap.
+ * Damage is judged by the production GroundTruth checker, built from the
+ * tracker-adjusted config as System builds it and fed every Mitigation
+ * the tracker emits through GroundTruth::onMitigation. Only the memory
+ * controller's timing is left out, so thousands of windows stay cheap.
  */
 
 #include <gtest/gtest.h>
 
-#include <map>
+#include <algorithm>
+#include <cctype>
 #include <memory>
+#include <string>
+#include <vector>
 
+#include "src/rh/ground_truth.hh"
 #include "src/rh/registry.hh"
 
 namespace dapper {
 namespace {
-
-/** Victim-damage bookkeeping for a single (channel 0) system. */
-class DamageModel
-{
-  public:
-    explicit DamageModel(const SysConfig &cfg) : cfg_(cfg) {}
-
-    void
-    onAct(int rank, int bank, int row)
-    {
-        bump(rank, bank, row - 1);
-        bump(rank, bank, row + 1);
-    }
-
-    void
-    apply(const MitigationVec &actions)
-    {
-        for (const Mitigation &m : actions) {
-            switch (m.kind) {
-              case Mitigation::Kind::VrrRow:
-              case Mitigation::Kind::DrfmSbRow:
-              case Mitigation::Kind::RfmSb:
-              case Mitigation::Kind::AboRfm:
-                for (int d = 1; d <= std::max(1, cfg_.blastRadius); ++d) {
-                    clear(m.rank, m.bank, m.row - d);
-                    clear(m.rank, m.bank, m.row + d);
-                }
-                break;
-              case Mitigation::Kind::BulkRank:
-              case Mitigation::Kind::BulkChannel:
-                damage_.clear();
-                break;
-              case Mitigation::Kind::CounterRead:
-              case Mitigation::Kind::CounterWrite:
-                break;
-            }
-        }
-    }
-
-    void windowBoundary() { damage_.clear(); }
-
-    std::uint32_t maxDamage() const { return maxDamage_; }
-
-  private:
-    std::uint64_t
-    key(int rank, int bank, int row) const
-    {
-        return (static_cast<std::uint64_t>(rank) << 40) |
-               (static_cast<std::uint64_t>(bank) << 32) |
-               static_cast<std::uint64_t>(static_cast<std::uint32_t>(row));
-    }
-
-    void
-    bump(int rank, int bank, int row)
-    {
-        if (row < 0 || row >= cfg_.rowsPerBank)
-            return;
-        const std::uint32_t d = ++damage_[key(rank, bank, row)];
-        maxDamage_ = std::max(maxDamage_, d);
-    }
-
-    void
-    clear(int rank, int bank, int row)
-    {
-        damage_.erase(key(rank, bank, row));
-    }
-
-    SysConfig cfg_;
-    std::map<std::uint64_t, std::uint32_t> damage_;
-    std::uint32_t maxDamage_ = 0;
-};
 
 /** Adversarial activation streams at tracker granularity. */
 enum class Pattern
@@ -107,27 +42,98 @@ struct Case
     Pattern pattern;
 };
 
-/** Registered tracker @p name, built the way System builds it: the
- *  config is adjusted first (blast radius, command flavour), so @p cfg
- *  is what the DamageModel must see too. */
-std::unique_ptr<Tracker>
-buildTracker(const char *name, SysConfig &cfg)
+/** One activation of a pattern and the time to the next: tRC-paced
+ *  single-bank patterns or tRRD-paced multi-bank ones. */
+struct PatternAct
+{
+    int bank;
+    int row;
+    Tick step;
+};
+
+PatternAct
+nthAct(Pattern pattern, std::uint64_t n, const SysConfig &cfg)
+{
+    switch (pattern) {
+      case Pattern::SingleRowHammer: // Alternate rows to force ACTs.
+        return {3, 1000 + static_cast<int>(n % 2) * 4, cfg.tRC()};
+      case Pattern::DoubleSided: // Victim at 1001.
+        return {3, 1000 + static_cast<int>(n % 2) * 2, cfg.tRC()};
+      case Pattern::RefreshAttack16: {
+        const int slot = static_cast<int>(n % 16);
+        return {slot % 8, 32768 + (slot / 8) * 2, cfg.tRRDS()};
+      }
+      case Pattern::ManyRowRoundRobin: {
+        const int slot = static_cast<int>(n % 192);
+        return {slot % 32, 16384 + (slot / 32) * 64, cfg.tRRDS()};
+      }
+      case Pattern::NewRowEveryAct:
+        return {static_cast<int>(n % 32),
+                static_cast<int>((n / 32) % 65536), cfg.tRRDS()};
+    }
+    return {0, 0, cfg.tRC()};
+}
+
+/**
+ * Run registered tracker @p name against @p pattern for @p windows
+ * scaled refresh windows and return the GroundTruth that judged it. The
+ * config is adjusted first (blast radius, command flavour), as System
+ * does, and the deadlines follow System's cadence: onPeriodic every
+ * max(1, tREFI / 4), then the window boundary every tREFW.
+ */
+GroundTruth
+runPattern(const char *name, SysConfig cfg, Pattern pattern, int windows)
 {
     const TrackerInfo &info = TrackerRegistry::instance().at(name);
     info.adjustConfig(cfg);
-    return info.make(cfg, nullptr);
-}
+    const std::unique_ptr<Tracker> tracker = info.make(cfg, nullptr);
+    GroundTruth gt(cfg);
+    MitigationVec out;
+    const auto applyOut = [&]() {
+        for (const Mitigation &m : out)
+            gt.onMitigation(m.channel, m);
+        out.clear();
+    };
+    const Tick horizon = windows * cfg.tREFW();
+    const Tick periodicStep = std::max<Tick>(1, cfg.tREFI() / 4);
+    Tick nextPeriodic = periodicStep;
+    Tick nextWindow = cfg.tREFW();
+    Tick now = 0;
+    for (std::uint64_t n = 0; now < horizon; ++n) {
+        const PatternAct act = nthAct(pattern, n, cfg);
+        gt.onActivation(0, 0, act.bank, act.row);
+        // Respect throttling (BlockHammer): a throttled ACT is delayed,
+        // which in this harness means it simply happens later.
+        ActEvent e{0, 0, act.bank, act.row, now, 0};
+        const Tick allowed = tracker->throttleUntil(e);
+        if (allowed > now) {
+            now = allowed;
+            e.now = now;
+        }
+        tracker->onActivation(e, out);
+        applyOut();
 
-std::string
-displayName(const char *tracker)
-{
-    return TrackerRegistry::instance().at(tracker).displayName;
+        if (now >= nextPeriodic) {
+            nextPeriodic += periodicStep;
+            tracker->onPeriodic(now, out);
+            applyOut();
+        }
+        if (now >= nextWindow) {
+            nextWindow += cfg.tREFW();
+            tracker->onRefreshWindow(now, out);
+            applyOut();
+            gt.onWindowBoundary();
+        }
+        now += act.step;
+    }
+    return gt;
 }
 
 std::string
 caseName(const ::testing::TestParamInfo<Case> &info)
 {
-    std::string name = displayName(info.param.tracker);
+    std::string name =
+        TrackerRegistry::instance().at(info.param.tracker).displayName;
     for (auto &ch : name)
         if (!isalnum(static_cast<unsigned char>(ch)))
             ch = '_';
@@ -151,87 +157,10 @@ TEST_P(SecurityPropertyTest, NoVictimReachesThresholdWithinWindow)
     cfg.nRH = 500;
     cfg.timeScale = 16.0;
     const Case param = GetParam();
-    auto tracker = buildTracker(param.tracker, cfg);
-    ASSERT_NE(tracker, nullptr);
-
-    DamageModel damage(cfg);
-    MitigationVec out;
-
-    // tRC-paced single-bank patterns or tRRD-paced multi-bank ones; run
-    // three scaled windows.
-    const Tick horizon = 3 * cfg.tREFW();
-    Tick now = 0;
-    Tick nextWindow = cfg.tREFW();
-    Tick nextPeriodic = cfg.tREFI();
-    std::uint64_t n = 0;
-
-    while (now < horizon) {
-        int rank = 0;
-        int bank = 0;
-        int row = 0;
-        Tick step = cfg.tRC();
-        switch (param.pattern) {
-          case Pattern::SingleRowHammer:
-            bank = 3;
-            row = 1000 + static_cast<int>(n % 2) * 4; // Force ACTs.
-            break;
-          case Pattern::DoubleSided:
-            bank = 3;
-            row = 1000 + static_cast<int>(n % 2) * 2; // Victim at 1001.
-            break;
-          case Pattern::RefreshAttack16: {
-            const int slot = static_cast<int>(n % 16);
-            bank = slot % 8;
-            row = 32768 + (slot / 8) * 2;
-            step = cfg.tRRDS();
-            break;
-          }
-          case Pattern::ManyRowRoundRobin: {
-            const int slot = static_cast<int>(n % 192);
-            bank = slot % 32;
-            row = 16384 + (slot / 32) * 64;
-            step = cfg.tRRDS();
-            break;
-          }
-          case Pattern::NewRowEveryAct:
-            bank = static_cast<int>(n % 32);
-            row = static_cast<int>((n / 32) % 65536);
-            step = cfg.tRRDS();
-            break;
-        }
-
-        damage.onAct(rank, bank, row);
-        out.clear();
-        ActEvent e{0, rank, bank, row, now, 0};
-        // Respect throttling (BlockHammer): a throttled ACT is delayed,
-        // which in this harness means it simply happens later.
-        const Tick allowed = tracker->throttleUntil(e);
-        if (allowed > now) {
-            now = allowed;
-            e.now = now;
-        }
-        tracker->onActivation(e, out);
-        damage.apply(out);
-
-        if (now >= nextPeriodic) {
-            nextPeriodic += cfg.tREFI();
-            out.clear();
-            tracker->onPeriodic(now, out);
-            damage.apply(out);
-        }
-        if (now >= nextWindow) {
-            nextWindow += cfg.tREFW();
-            out.clear();
-            tracker->onRefreshWindow(now, out);
-            damage.apply(out);
-            damage.windowBoundary();
-        }
-        now += step;
-        ++n;
-    }
-
-    EXPECT_LT(damage.maxDamage(), static_cast<std::uint32_t>(cfg.nRH))
-        << displayName(param.tracker) << " failed to prevent RowHammer";
+    const GroundTruth gt = runPattern(param.tracker, cfg, param.pattern, 3);
+    EXPECT_EQ(gt.violations(), 0u)
+        << "max damage " << gt.maxDamageEver() << ", first at bank "
+        << gt.firstViolation().bank << " row " << gt.firstViolation().row;
 }
 
 std::vector<Case>
@@ -267,31 +196,9 @@ TEST_P(DapperThresholdTest, DapperHSafeAcrossThresholds)
     SysConfig cfg;
     cfg.nRH = GetParam();
     cfg.timeScale = 16.0;
-    auto tracker = buildTracker("dapper-h", cfg);
-    DamageModel damage(cfg);
-    MitigationVec out;
-
-    Tick now = 0;
-    Tick nextWindow = cfg.tREFW();
-    std::uint64_t n = 0;
-    while (now < 2 * cfg.tREFW()) {
-        const int slot = static_cast<int>(n % 16);
-        const int bank = slot % 8;
-        const int row = 32768 + (slot / 8) * 2;
-        damage.onAct(0, bank, row);
-        out.clear();
-        tracker->onActivation({0, 0, bank, row, now, 0}, out);
-        damage.apply(out);
-        if (now >= nextWindow) {
-            nextWindow += cfg.tREFW();
-            out.clear();
-            tracker->onRefreshWindow(now, out);
-            damage.windowBoundary();
-        }
-        now += cfg.tRRDS();
-        ++n;
-    }
-    EXPECT_LT(damage.maxDamage(), static_cast<std::uint32_t>(cfg.nRH));
+    const GroundTruth gt =
+        runPattern("dapper-h", cfg, Pattern::RefreshAttack16, 2);
+    EXPECT_EQ(gt.violations(), 0u) << "max damage " << gt.maxDamageEver();
 }
 
 INSTANTIATE_TEST_SUITE_P(Thresholds, DapperThresholdTest,
