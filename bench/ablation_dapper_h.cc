@@ -1,9 +1,11 @@
 /**
  * @file
  * Ablation (beyond the paper's figures, motivated by Section VI):
- * dissect DAPPER-H's three ingredients — double hashing, the per-bank
- * bit-vector, and the conservative reset rule — by disabling them one at
- * a time under the two mapping-agnostic attacks.
+ * compare full DAPPER-H with two variants that each drop one
+ * ingredient: the per-bank bit-vector (`dapper-h-nobv`) and double
+ * hashing (DAPPER-S, a single hash), under no attack and the two
+ * mapping-agnostic attacks. The conservative reset rule is not
+ * ablated: zeroing the counters instead is unsafe.
  *
  * Expected: without the bit-vector the streaming attack inflates Table 1
  * and forces mitigations (DAPPER-S-like overhead); DAPPER-S (single

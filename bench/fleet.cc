@@ -13,8 +13,10 @@
  * at any point — including SIGKILL mid-write — and a re-run continues
  * from the journals without repeating a single completed cell.
  *
- * Exit status: 0 when every cell completed, 3 when the campaign is
- * incomplete (drained by SIGINT/SIGTERM, or cells in quarantine).
+ * Exit status (runGrid's rule): 0 when every cell is accounted for —
+ * completed, or quarantined and published as an explicit gap, whose
+ * tracker x attack slice prints "--"; 3 when the campaign was drained
+ * by SIGINT/SIGTERM or some cell has no verdict yet.
  */
 
 #include "bench/bench_util.hh"
@@ -49,26 +51,32 @@ main(int argc, char **argv)
     grid.trackers(trackers).attacks(attacks).workloads(workloads);
     applySeeds(opt, grid);
 
-    // runGrid prints the fleet progress report and exits 3 when the
-    // campaign is incomplete, so reaching finish() means all done.
+    // runGrid prints the fleet progress report and exits 3 unless every
+    // cell is accounted for, so the table holds every grid row here
+    // (quarantined cells as gap rows).
     const ResultTable table = runGrid(opt, grid, argv[0]);
 
     const auto norms = table.normalizedValues();
     const auto nSeeds = static_cast<std::size_t>(opt.seeds);
-    const std::size_t perTracker =
-        attacks.size() * workloads.size() * nSeeds;
+    const std::size_t perSlice = workloads.size() * nSeeds;
+    const std::size_t perTracker = attacks.size() * perSlice;
     std::printf("%-14s", "Tracker");
     for (const std::string &attack : attacks)
         std::printf(" %14s", attack.c_str());
     std::printf("\n");
     for (std::size_t t = 0; t < trackers.size(); ++t) {
         std::printf("%-14s", trackers[t].c_str());
-        for (std::size_t a = 0; a < attacks.size(); ++a)
-            std::printf(" %14.4f",
-                        geomeanSlice(norms,
-                                     t * perTracker +
-                                         a * workloads.size() * nSeeds,
-                                     workloads.size() * nSeeds));
+        for (std::size_t a = 0; a < attacks.size(); ++a) {
+            const std::size_t offset = t * perTracker + a * perSlice;
+            bool gap = false;
+            for (std::size_t i = offset; i < offset + perSlice; ++i)
+                gap = gap || table.at(i).quarantined;
+            if (gap)
+                std::printf(" %14s", "--");
+            else
+                std::printf(" %14.4f",
+                            geomeanSlice(norms, offset, perSlice));
+        }
         std::printf("\n");
     }
     std::printf("\n(geomean normalized IPC vs idle baseline, per "

@@ -6,8 +6,8 @@
  *
  *  - RingDeque<T>: a bounded deque over one contiguous ring buffer.
  *    Drop-in for the std::deque operations the memory-controller
- *    request queues use (push_back / push_front / random access /
- *    random-access iterators / middle erase). Capacity is fixed at
+ *    request queues use (push_back / push_front / indexed access /
+ *    indexed middle erase). Capacity is fixed at
  *    construction — the controller already enforces the queue caps —
  *    so elements never move between blocks and nothing allocates
  *    after construction. erase() shifts whichever side of the hole is
@@ -34,7 +34,6 @@
 
 #include <cstddef>
 #include <cstdint>
-#include <iterator>
 #include <memory>
 #include <new>
 #include <type_traits>
@@ -104,106 +103,20 @@ class RingDeque
         --size_;
     }
 
-    class iterator
+    /** Remove the element at index @p pos; order is preserved (the
+     *  shorter side of the hole is shifted, as std::deque::erase does). */
+    void
+    erase(std::size_t pos)
     {
-      public:
-        using iterator_category = std::random_access_iterator_tag;
-        using value_type = T;
-        using difference_type = std::ptrdiff_t;
-        using pointer = T *;
-        using reference = T &;
-
-        iterator() = default;
-        iterator(RingDeque *d, std::size_t i) : d_(d), i_(i) {}
-
-        reference operator*() const { return (*d_)[i_]; }
-        pointer operator->() const { return &(*d_)[i_]; }
-        reference operator[](difference_type n) const
-        {
-            return (*d_)[i_ + static_cast<std::size_t>(n)];
-        }
-
-        iterator &operator++() { ++i_; return *this; }
-        iterator operator++(int) { iterator t = *this; ++i_; return t; }
-        iterator &operator--() { --i_; return *this; }
-        iterator operator--(int) { iterator t = *this; --i_; return t; }
-        iterator &operator+=(difference_type n)
-        {
-            i_ = static_cast<std::size_t>(
-                static_cast<difference_type>(i_) + n);
-            return *this;
-        }
-        iterator &operator-=(difference_type n) { return *this += -n; }
-        friend iterator operator+(iterator it, difference_type n)
-        {
-            return it += n;
-        }
-        friend iterator operator+(difference_type n, iterator it)
-        {
-            return it += n;
-        }
-        friend iterator operator-(iterator it, difference_type n)
-        {
-            return it -= n;
-        }
-        friend difference_type
-        operator-(const iterator &a, const iterator &b)
-        {
-            return static_cast<difference_type>(a.i_) -
-                   static_cast<difference_type>(b.i_);
-        }
-        friend bool operator==(const iterator &a, const iterator &b)
-        {
-            return a.i_ == b.i_;
-        }
-        friend bool operator!=(const iterator &a, const iterator &b)
-        {
-            return a.i_ != b.i_;
-        }
-        friend bool operator<(const iterator &a, const iterator &b)
-        {
-            return a.i_ < b.i_;
-        }
-        friend bool operator>(const iterator &a, const iterator &b)
-        {
-            return a.i_ > b.i_;
-        }
-        friend bool operator<=(const iterator &a, const iterator &b)
-        {
-            return a.i_ <= b.i_;
-        }
-        friend bool operator>=(const iterator &a, const iterator &b)
-        {
-            return a.i_ >= b.i_;
-        }
-
-        std::size_t index() const { return i_; }
-
-      private:
-        RingDeque *d_ = nullptr;
-        std::size_t i_ = 0;
-    };
-
-    iterator begin() { return iterator(this, 0); }
-    iterator end() { return iterator(this, size_); }
-
-    /** Remove the element at @p pos; order is preserved (the shorter
-     *  side of the hole is shifted). Returns the iterator following
-     *  the erased element, as std::deque::erase does. */
-    iterator
-    erase(iterator pos)
-    {
-        const std::size_t i = pos.index();
-        if (i < size_ - 1 - i) {
-            for (std::size_t j = i; j > 0; --j)
+        if (pos < size_ - 1 - pos) {
+            for (std::size_t j = pos; j > 0; --j)
                 (*this)[j] = std::move((*this)[j - 1]);
             head_ = (head_ + 1) & mask_;
         } else {
-            for (std::size_t j = i; j + 1 < size_; ++j)
+            for (std::size_t j = pos; j + 1 < size_; ++j)
                 (*this)[j] = std::move((*this)[j + 1]);
         }
         --size_;
-        return iterator(this, i);
     }
 
   private:

@@ -14,7 +14,7 @@ namespace dapper {
 namespace {
 
 constexpr std::uint32_t kJournalMagic = 0x4A4C4644u; // "DFLJ"
-constexpr std::size_t kHeaderBytes = 4 + 1 + 4 + 4;
+constexpr std::size_t kFrameHeaderBytes = 4 + 1 + 4 + 4;
 /// Sanity bound: a single cell result is a few KB; anything past this
 /// is a corrupt length field, not a record.
 constexpr std::uint32_t kMaxPayload = 64u << 20;
@@ -26,21 +26,6 @@ loadU32(const unsigned char *p)
            static_cast<std::uint32_t>(p[1]) << 8 |
            static_cast<std::uint32_t>(p[2]) << 16 |
            static_cast<std::uint32_t>(p[3]) << 24;
-}
-
-/** CRC over [type, length, payload] — the fields the header promises. */
-std::uint32_t
-recordCrc(std::uint8_t type, const std::string &payload)
-{
-    unsigned char prefix[5];
-    prefix[0] = type;
-    const auto len = static_cast<std::uint32_t>(payload.size());
-    prefix[1] = static_cast<unsigned char>(len & 0xff);
-    prefix[2] = static_cast<unsigned char>((len >> 8) & 0xff);
-    prefix[3] = static_cast<unsigned char>((len >> 16) & 0xff);
-    prefix[4] = static_cast<unsigned char>((len >> 24) & 0xff);
-    std::uint32_t crc = crc32(prefix, sizeof(prefix));
-    return crc32(payload.data(), payload.size(), crc);
 }
 
 [[noreturn]] void
@@ -161,48 +146,98 @@ ByteReader::getString()
 }
 
 std::string
-encodeJournalRecord(std::uint8_t type, const std::string &payload)
+encodeFrame(std::uint32_t magic, std::uint8_t type,
+            const std::string &payload)
 {
-    if (payload.size() > kMaxPayload)
-        throw std::runtime_error("journal record payload too large");
     ByteWriter frame;
-    frame.putU32(kJournalMagic);
+    frame.putU32(magic);
     frame.putU8(type);
     frame.putU32(static_cast<std::uint32_t>(payload.size()));
-    frame.putU32(recordCrc(type, payload));
+    // The CRC covers [type, length, payload]: the header bytes just
+    // written after the magic, then the payload.
+    const std::uint32_t crc = crc32(frame.bytes().data() + 4, 5);
+    frame.putU32(crc32(payload.data(), payload.size(), crc));
     std::string bytes = frame.take();
     bytes.append(payload);
     return bytes;
 }
 
+FrameScan
+scanFrames(const void *data, std::size_t size, std::uint32_t magic)
+{
+    FrameScan out;
+    const auto *bytes = static_cast<const unsigned char *>(data);
+    std::size_t pos = 0;
+    while (pos < size) {
+        const unsigned char *frame = bytes + pos;
+        if (size - pos < kFrameHeaderBytes) {
+            out.stopReason = "truncated frame header";
+            break;
+        }
+        if (loadU32(frame) != magic) {
+            out.stopReason = "bad magic";
+            break;
+        }
+        const std::uint32_t length = loadU32(frame + 5);
+        if (size - pos - kFrameHeaderBytes < length) {
+            out.stopReason = "length runs past end of data";
+            break;
+        }
+        const unsigned char *payload = frame + kFrameHeaderBytes;
+        if (crc32(payload, length, crc32(frame + 4, 5)) !=
+            loadU32(frame + 9)) {
+            out.stopReason = "checksum mismatch";
+            break;
+        }
+        out.frames.push_back({pos, frame[4], payload, length});
+        pos += kFrameHeaderBytes + length;
+    }
+    out.stopOffset = pos;
+    return out;
+}
+
+bool
+writeFully(int fd, const void *data, std::size_t size)
+{
+    const auto *bytes = static_cast<const char *>(data);
+    std::size_t done = 0;
+    while (done < size) {
+        const ssize_t n = ::write(fd, bytes + done, size - done);
+        if (n < 0) {
+            if (errno == EINTR)
+                continue;
+            return false;
+        }
+        done += static_cast<std::size_t>(n);
+    }
+    return true;
+}
+
+std::string
+encodeJournalRecord(std::uint8_t type, const std::string &payload)
+{
+    if (payload.size() > kMaxPayload)
+        throw std::runtime_error("journal record payload too large");
+    return encodeFrame(kJournalMagic, type, payload);
+}
+
 JournalScan
 scanJournalBytes(const void *data, std::size_t size)
 {
+    const FrameScan frames = scanFrames(data, size, kJournalMagic);
     JournalScan out;
-    const auto *bytes = static_cast<const unsigned char *>(data);
-    std::size_t pos = 0;
-    while (pos + kHeaderBytes <= size) {
-        if (loadU32(bytes + pos) != kJournalMagic)
+    out.validBytes = frames.stopOffset;
+    for (const FrameView &frame : frames.frames) {
+        if (frame.type == 0 || frame.length > kMaxPayload) {
+            out.validBytes = frame.offset;
             break;
-        const std::uint8_t type = bytes[pos + 4];
-        const std::uint32_t length = loadU32(bytes + pos + 5);
-        const std::uint32_t crc = loadU32(bytes + pos + 9);
-        if (type == 0 || length > kMaxPayload)
-            break;
-        if (pos + kHeaderBytes + length > size)
-            break; // Payload cut short: torn tail.
-        JournalRecord record;
-        record.type = type;
-        record.payload.assign(
-            reinterpret_cast<const char *>(bytes + pos + kHeaderBytes),
-            length);
-        if (recordCrc(type, record.payload) != crc)
-            break;
-        out.records.push_back(std::move(record));
-        pos += kHeaderBytes + length;
+        }
+        out.records.push_back(
+            {frame.type,
+             std::string(reinterpret_cast<const char *>(frame.payload),
+                         frame.length)});
     }
-    out.validBytes = pos;
-    out.torn = pos != size;
+    out.torn = out.validBytes != size;
     return out;
 }
 
@@ -271,17 +306,8 @@ JournalWriter::append(std::uint8_t type, const std::string &payload)
     if (fd_ < 0)
         throw std::runtime_error("journal writer not open");
     const std::string frame = encodeJournalRecord(type, payload);
-    std::size_t done = 0;
-    while (done < frame.size()) {
-        const ssize_t n =
-            ::write(fd_, frame.data() + done, frame.size() - done);
-        if (n < 0) {
-            if (errno == EINTR)
-                continue;
-            throwErrno("cannot append to journal", path_);
-        }
-        done += static_cast<std::size_t>(n);
-    }
+    if (!writeFully(fd_, frame.data(), frame.size()))
+        throwErrno("cannot append to journal", path_);
 }
 
 void

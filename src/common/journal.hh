@@ -10,21 +10,16 @@
  * discarding — a torn tail. There is no in-place mutation and no
  * index; the file is the log.
  *
- * Record layout (all integers little-endian):
- *
- *   u32  magic     0x4A4C4644 ("DFLJ")
- *   u8   type      record type tag (app-defined, nonzero)
- *   u32  length    payload byte count
- *   u32  crc32     IEEE CRC-32 over [type, length, payload]
- *   u8[] payload
+ * Record layout: one CRC frame (below) under the magic 0x4A4C4644
+ * ("DFLJ") with a nonzero, app-defined type and at most 64 MB payload.
  *
  * Writers build the whole frame in memory and append it with a single
  * write() on an O_APPEND descriptor — so concurrent appenders (the
  * coordinator adding tombstones while a worker adds results) interleave
  * only at record granularity, never inside one. Readers scan from the
- * start; the first offset where the magic, the header, the payload
- * length, or the CRC does not hold terminates the scan, and
- * recoverJournal() truncates the file there. A record is therefore
+ * start; the first offset where the frame or the journal's type and
+ * length rules do not hold terminates the scan, and
+ * recoverJournalFile() truncates the file there. A record is therefore
  * durable-in-order: if record N is readable, records 0..N-1 are too.
  *
  * fsync is deliberately NOT issued per record: process death (the
@@ -48,6 +43,50 @@ namespace dapper {
  *  continuing from @p seed (pass the previous return value to chain). */
 std::uint32_t crc32(const void *data, std::size_t size,
                     std::uint32_t seed = 0);
+
+// ---------------------------------------------------------------------
+// CRC frames: the one on-disk framing shared by journals and DTR traces
+// (src/trace/dtr.hh). All integers little-endian:
+//
+//   u32  magic     format tag chosen by the caller
+//   u8   type      record / block type
+//   u32  length    payload byte count
+//   u32  crc32     IEEE CRC-32 over [type, length, payload]
+//   u8[] payload
+// ---------------------------------------------------------------------
+
+/** Frame @p payload under @p magic and @p type. */
+std::string encodeFrame(std::uint32_t magic, std::uint8_t type,
+                        const std::string &payload);
+
+/** One CRC-valid frame, pointing into the scanned buffer (no copy). */
+struct FrameView
+{
+    std::size_t offset = 0; ///< Offset of the frame's magic.
+    std::uint8_t type = 0;
+    const unsigned char *payload = nullptr;
+    std::uint32_t length = 0;
+};
+
+struct FrameScan
+{
+    std::vector<FrameView> frames; ///< Valid frames, in file order.
+    /// Offset of the first invalid frame; the buffer size when every
+    /// byte belongs to a valid frame.
+    std::size_t stopOffset = 0;
+    /// Why the frame at stopOffset is invalid; nullptr on a clean scan.
+    const char *stopReason = nullptr;
+};
+
+/** Scan @p size bytes at @p data as back-to-back frames under @p magic,
+ *  up to the first frame whose header is cut short, whose magic is
+ *  wrong, whose length runs past the end, or whose CRC fails. */
+FrameScan scanFrames(const void *data, std::size_t size,
+                     std::uint32_t magic);
+
+/** write() all @p size bytes to @p fd, continuing after EINTR and short
+ *  writes; false (errno set) on any other failure. */
+bool writeFully(int fd, const void *data, std::size_t size);
 
 // ---------------------------------------------------------------------
 // Little-endian byte buffer helpers (journal payload encode / decode).
@@ -122,7 +161,7 @@ struct JournalScan
     bool torn = false; ///< Trailing bytes past validBytes were invalid.
 };
 
-/** Frame one record (header + CRC + payload) into a byte string. */
+/** Frame one record under the journal magic into a byte string. */
 std::string encodeJournalRecord(std::uint8_t type,
                                 const std::string &payload);
 
@@ -144,9 +183,9 @@ JournalScan recoverJournalFile(const std::string &path);
 
 /**
  * Append-only record writer. append() frames the record in memory and
- * writes it with one write() call on an O_APPEND fd (EINTR/short
- * writes are continued — a crash mid-continuation leaves a torn tail,
- * which is exactly what readers recover from).
+ * writes it with writeFully() on an O_APPEND fd (a crash mid-
+ * continuation leaves a torn tail, which is exactly what readers
+ * recover from).
  */
 class JournalWriter
 {

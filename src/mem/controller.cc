@@ -544,10 +544,9 @@ MemController::tryIssueFrom(QueueState &qs, Tick now, Tick &issueWake)
     // its end would corrupt queue accounting.
     DAPPER_CHECK(pick.pos < qs.q.size(),
                  "issue: picked position outside queue");
-    const auto it = qs.q.begin() + static_cast<std::ptrdiff_t>(pick.pos);
-    Request req = *it;
+    Request req = qs.q[pick.pos];
     const bool readWasFull = &qs == &readQ_ && qs.q.size() >= kReadQCap;
-    qs.q.erase(it);
+    qs.q.erase(pick.pos);
     // Cores poll readQueueFull() before enqueueing bypass reads; tell
     // them when space appears. (issue() may immediately push the request
     // back on a throttle, making this wake spurious — that is safe.)

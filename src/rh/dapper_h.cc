@@ -7,11 +7,8 @@
 
 namespace dapper {
 
-DapperHTracker::DapperHTracker(const SysConfig &cfg, bool useBitVector,
-                               bool useResetCounters)
-    : BaseTracker(cfg),
-      useBitVector_(useBitVector),
-      useResetCounters_(useResetCounters)
+DapperHTracker::DapperHTracker(const SysConfig &cfg, bool useBitVector)
+    : BaseTracker(cfg), useBitVector_(useBitVector)
 {
     rowBits_ = std::bit_width(cfg.rowsPerRank()) - 1;
     groupShift_ =
@@ -107,35 +104,30 @@ DapperHTracker::mitigate(RankState &rs, const ActEvent &e, std::uint64_t g1,
         ++singleRowMitigations_;
     ++mitigations_;
 
-    if (useResetCounters_) {
-        // Novel reset (Fig. 8, steps 3-4): each table's entry resets to
-        // the maximum count its *unrefreshed* members still hold in the
-        // opposite table — a conservative per-member upper bound.
-        // (Unrefreshed members of g1 are those whose Table-2 group is
-        // not g2; symmetrically for g2.)
-        std::uint16_t reset1 = 0;
-        for (int i = 0; i < groupSize; ++i) {
-            const std::uint32_t og =
-                info1.oppositeGroup[static_cast<std::size_t>(i)];
-            if (og == g2)
-                continue; // Shared, refreshed.
-            reset1 = std::max(reset1, rs.rgc2[og]);
-        }
-        std::uint16_t reset2 = 0;
-        for (int i = 0; i < groupSize; ++i) {
-            const std::uint32_t og =
-                info2.oppositeGroup[static_cast<std::size_t>(i)];
-            if (og == g1)
-                continue; // Shared, refreshed.
-            reset2 = std::max(reset2, rs.rgc1[og]);
-        }
-        const auto cap = static_cast<std::uint16_t>(nM_ - 1);
-        rs.rgc1[g1] = std::min(reset1, cap);
-        rs.rgc2[g2] = std::min(reset2, cap);
-    } else {
-        rs.rgc1[g1] = 0;
-        rs.rgc2[g2] = 0;
+    // Novel reset (Fig. 8, steps 3-4): each table's entry resets to
+    // the maximum count its *unrefreshed* members still hold in the
+    // opposite table — a conservative per-member upper bound.
+    // (Unrefreshed members of g1 are those whose Table-2 group is
+    // not g2; symmetrically for g2.)
+    std::uint16_t reset1 = 0;
+    for (int i = 0; i < groupSize; ++i) {
+        const std::uint32_t og =
+            info1.oppositeGroup[static_cast<std::size_t>(i)];
+        if (og == g2)
+            continue; // Shared, refreshed.
+        reset1 = std::max(reset1, rs.rgc2[og]);
     }
+    std::uint16_t reset2 = 0;
+    for (int i = 0; i < groupSize; ++i) {
+        const std::uint32_t og =
+            info2.oppositeGroup[static_cast<std::size_t>(i)];
+        if (og == g1)
+            continue; // Shared, refreshed.
+        reset2 = std::max(reset2, rs.rgc1[og]);
+    }
+    const auto cap = static_cast<std::uint16_t>(nM_ - 1);
+    rs.rgc1[g1] = std::min(reset1, cap);
+    rs.rgc2[g2] = std::min(reset2, cap);
     rs.bits[g1] = 0;
 }
 

@@ -33,14 +33,8 @@ namespace dapper {
 class DapperHTracker : public BaseTracker
 {
   public:
-    /**
-     * @param useBitVector ablation hook; the paper's design has it on.
-     * @param useResetCounters ablation hook for the novel reset rule
-     *        (off: reset involved entries to zero — unsafe variant kept
-     *        for the ablation bench only).
-     */
-    explicit DapperHTracker(const SysConfig &cfg, bool useBitVector = true,
-                            bool useResetCounters = true);
+    /** @param useBitVector ablation hook; the paper's design has it on. */
+    explicit DapperHTracker(const SysConfig &cfg, bool useBitVector = true);
 
     void onActivation(const ActEvent &e, MitigationVec &out) override;
     void onRefreshWindow(Tick now, MitigationVec &out) override;
@@ -118,7 +112,6 @@ class DapperHTracker : public BaseTracker
     void resetAll();
 
     bool useBitVector_;
-    bool useResetCounters_;
     int rowBits_;
     int groupShift_;
     std::uint64_t numGroups_;

@@ -62,7 +62,7 @@ GroundTruth::renormalize()
 {
     // Fold every scope's clear epoch into the cells (stale -> damage 0)
     // and restart the clock at zero. O(rows) but reached only after
-    // 2^32 - 1 clear events, so it never shows up in profiles.
+    // 2^20 - 1 clear events, so it never shows up in profiles.
     for (int c = 0; c < cfg_.channels; ++c) {
         for (int r = 0; r < cfg_.ranksPerChannel; ++r) {
             const std::size_t rankIdx = rankIndex(c, r);
@@ -128,7 +128,7 @@ GroundTruth::onActivation(int channel, int rank, int bank, int row)
     }
 
     // Interior fast path: apply both neighbor bumps with the scope
-    // epochs resolved at most once for the pair (the two cells sit 16
+    // epochs resolved at most once for the pair (the two cells sit 8
     // bytes apart and usually share a refresh slice, so the per-call
     // global/channel/rank/slice lookups of bump() would be duplicates).
     // Must stay bit-equivalent to bump(row-1) then bump(row+1),

@@ -111,7 +111,7 @@ TrackerRegistry::TrackerRegistry() : NamedRegistry("tracker")
     add({.name = "dapper-h-nobv",
          .displayName = "DAPPER-H-noBV",
          .counterAttack = "streaming",
-         .make = construct<DapperHTracker>(false, true)});
+         .make = construct<DapperHTracker>(false)});
 }
 
 TrackerRegistry &

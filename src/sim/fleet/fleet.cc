@@ -113,25 +113,9 @@ class ScopedSignalHandlers
 std::string
 shardJournalName(std::size_t shard)
 {
-    char buf[32];
+    char buf[40];
     std::snprintf(buf, sizeof(buf), "shard_%04zu.journal", shard);
     return buf;
-}
-
-void
-writeAll(int fd, const char *data, std::size_t size)
-{
-    std::size_t done = 0;
-    while (done < size) {
-        const ssize_t n = ::write(fd, data + done, size - done);
-        if (n < 0) {
-            if (errno == EINTR)
-                continue;
-            throw std::runtime_error(std::string("fleet pipe write: ") +
-                                     std::strerror(errno));
-        }
-        done += static_cast<std::size_t>(n);
-    }
 }
 
 std::string
@@ -145,26 +129,6 @@ sanitizeMessage(std::string msg)
     return msg;
 }
 
-void
-writeJsonEscaped(std::FILE *out, const std::string &s)
-{
-    std::fputc('"', out);
-    for (const char ch : s) {
-        switch (ch) {
-          case '"': std::fputs("\\\"", out); break;
-          case '\\': std::fputs("\\\\", out); break;
-          case '\n': std::fputs("\\n", out); break;
-          case '\t': std::fputs("\\t", out); break;
-          default:
-            if (static_cast<unsigned char>(ch) < 0x20)
-                std::fprintf(out, "\\u%04x", ch);
-            else
-                std::fputc(ch, out);
-        }
-    }
-    std::fputc('"', out);
-}
-
 // --- payload codecs --------------------------------------------------
 
 std::string
@@ -175,24 +139,6 @@ encodeHeader(std::uint64_t campaignId, std::uint32_t shard)
     w.putU64(campaignId);
     w.putU32(shard);
     return w.take();
-}
-
-struct HeaderPayload
-{
-    std::uint32_t version = 0;
-    std::uint64_t campaignId = 0;
-    std::uint32_t shard = 0;
-};
-
-HeaderPayload
-decodeHeader(const std::string &payload)
-{
-    ByteReader r(payload);
-    HeaderPayload h;
-    h.version = r.getU32();
-    h.campaignId = r.getU64();
-    h.shard = r.getU32();
-    return h;
 }
 
 /** Tombstone (Timeout/Crash) and Quarantine records share one shape. */
@@ -208,24 +154,113 @@ encodeFailure(const std::string &fingerprint, const std::string &label,
     return w.take();
 }
 
-struct FailurePayload
+// --- shard journals --------------------------------------------------
+
+/** One shard-journal record, decoded once by its type. A Result stays
+ *  encoded past its fingerprint (decodeFleetResult), so readers that
+ *  only compare fingerprints never rebuild its StatDict. */
+struct ShardRecord
 {
-    std::string fingerprint;
-    std::string label;
-    std::uint32_t attempts = 0;
-    std::string message;
+    FleetRecord type = FleetRecord::Header;
+    std::uint64_t campaignId = 0; ///< Header.
+    std::string fingerprint;      ///< Every type but Header.
+    std::string label;            ///< Timeout, Crash, Quarantine.
+    std::uint32_t attempts = 0;   ///< Timeout, Crash, Quarantine.
+    std::string message;          ///< Timeout, Crash, Quarantine.
+    const std::string *payload = nullptr; ///< The encoded record.
 };
 
-FailurePayload
-decodeFailure(const std::string &payload)
+ShardRecord
+decodeShardRecord(const JournalRecord &record)
 {
-    ByteReader r(payload);
-    FailurePayload f;
-    f.fingerprint = r.getString();
-    f.label = r.getString();
-    f.attempts = r.getU32();
-    f.message = r.getString();
-    return f;
+    ShardRecord out;
+    out.type = static_cast<FleetRecord>(record.type);
+    out.payload = &record.payload;
+    ByteReader r(record.payload);
+    switch (out.type) {
+      case FleetRecord::Header:
+        r.getU32(); // Format version.
+        out.campaignId = r.getU64();
+        break;
+      case FleetRecord::Result:
+        out.fingerprint = r.getString(); // encodeFleetResult's first field.
+        break;
+      case FleetRecord::Timeout:
+      case FleetRecord::Crash:
+      case FleetRecord::Quarantine:
+        out.fingerprint = r.getString();
+        out.label = r.getString();
+        out.attempts = r.getU32();
+        out.message = r.getString();
+        break;
+    }
+    return out;
+}
+
+/** Record counts of one shard journal (manifest.json's "shards"). */
+struct ShardSummary
+{
+    std::string journal; ///< File name.
+    std::size_t records = 0;
+    std::size_t results = 0;
+    std::size_t timeouts = 0;
+    std::size_t crashes = 0;
+    std::size_t quarantines = 0;
+};
+
+/**
+ * The one reader of a campaign's shard journals: every shard_*.journal
+ * in @p dir, including those of an earlier run with another shard
+ * count, in file-name order. Each record is decoded once and handed to
+ * @p visit with its journal's path. With @p recover a torn tail is
+ * truncated first, which is only safe while no worker is alive.
+ */
+std::vector<ShardSummary>
+readShardJournals(
+    const std::string &dir, bool recover,
+    const std::function<void(const std::string &, const ShardRecord &)>
+        &visit)
+{
+    std::vector<std::string> names;
+    for (const auto &entry : fs::directory_iterator(dir)) {
+        std::string name = entry.path().filename().string();
+        if (name.starts_with("shard_") && name.ends_with(".journal"))
+            names.push_back(std::move(name));
+    }
+    std::sort(names.begin(), names.end());
+    std::vector<ShardSummary> summaries;
+    for (const std::string &name : names) {
+        const std::string path = dir + "/" + name;
+        const JournalScan scan =
+            recover ? recoverJournalFile(path) : scanJournalFile(path);
+        ShardSummary summary;
+        summary.journal = name;
+        summary.records = scan.records.size();
+        for (const JournalRecord &record : scan.records) {
+            const ShardRecord decoded = decodeShardRecord(record);
+            switch (decoded.type) {
+              case FleetRecord::Result: ++summary.results; break;
+              case FleetRecord::Timeout: ++summary.timeouts; break;
+              case FleetRecord::Crash: ++summary.crashes; break;
+              case FleetRecord::Quarantine: ++summary.quarantines; break;
+              case FleetRecord::Header: break;
+            }
+            visit(path, decoded);
+        }
+        summaries.push_back(std::move(summary));
+    }
+    return summaries;
+}
+
+/** Whether @p scan holds a Result record for fingerprint @p fp. */
+bool
+hasResult(const JournalScan &scan, const std::string &fp)
+{
+    for (const JournalRecord &record : scan.records)
+        if (static_cast<FleetRecord>(record.type) == FleetRecord::Result &&
+            decodeShardRecord(record).fingerprint == fp)
+            return true;
+    return false;
 }
 
 } // namespace
@@ -386,8 +421,8 @@ class Coordinator
   private:
     // Setup.
     void indexCells();
-    void scanExistingJournals();
-    void ensureShardHeaders();
+    std::vector<ShardSummary> scanExistingJournals();
+    void ensureShardHeaders(const std::vector<ShardSummary> &existing);
 
     // Event loop.
     void spawnMissingWorkers();
@@ -406,12 +441,11 @@ class Coordinator
     void completeCell(std::size_t cell);
     void failCell(std::size_t cell, FleetRecord kind,
                   const std::string &message);
-    bool journalHasResult(std::size_t shard, const std::string &fp);
 
     // Finish.
     FleetReport finalize();
     void writeManifest(const FleetReport &report,
-                       const std::vector<JournalScan> &scans);
+                       const std::vector<ShardSummary> &shards);
 
     [[noreturn]] void workerMain(std::size_t shard, int cmdFd,
                                  int evtFd);
@@ -488,86 +522,62 @@ Coordinator::indexCells()
     shardQueues_.assign(shards_, {});
 }
 
-void
+std::vector<ShardSummary>
 Coordinator::scanExistingJournals()
 {
-    // Resume: every shard_*.journal in the directory contributes
-    // completed fingerprints and attempt bookkeeping, including
-    // journals from an earlier run with a different shard count.
-    std::vector<std::string> paths;
-    for (const auto &entry : fs::directory_iterator(options_.dir)) {
-        const std::string name = entry.path().filename().string();
-        if (name.rfind("shard_", 0) == 0 &&
-            name.size() > std::strlen(".journal") &&
-            name.substr(name.size() - 8) == ".journal")
-            paths.push_back(entry.path().string());
-    }
-    std::sort(paths.begin(), paths.end());
-    for (const std::string &path : paths) {
-        // Truncating a torn tail is safe here: no worker is alive yet.
-        const JournalScan scan = recoverJournalFile(path);
-        for (const JournalRecord &record : scan.records) {
-            switch (static_cast<FleetRecord>(record.type)) {
-              case FleetRecord::Header: {
-                const HeaderPayload header = decodeHeader(record.payload);
-                if (header.campaignId != campaignId_)
+    // Resume: every shard journal contributes completed fingerprints
+    // and attempt bookkeeping. No worker is alive yet, so torn tails
+    // are truncated.
+    return readShardJournals(
+        options_.dir, /*recover=*/true,
+        [&](const std::string &path, const ShardRecord &record) {
+            if (record.type == FleetRecord::Header) {
+                if (record.campaignId != campaignId_)
                     throw std::runtime_error(
                         "fleet: " + path +
                         " belongs to a different campaign (grid or "
                         "config changed); use a fresh directory");
-                break;
-              }
-              case FleetRecord::Result: {
-                const FleetCellResult result =
-                    decodeFleetResult(record.payload);
-                const auto it = cellOf_.find(result.fingerprint);
-                if (it == cellOf_.end())
-                    break; // Stale cell from a superseded grid: ignore.
-                CellState &cell = cells_[it->second];
+                return;
+            }
+            const auto it = cellOf_.find(record.fingerprint);
+            if (it == cellOf_.end())
+                return; // Stale cell from a superseded grid: ignore.
+            CellState &cell = cells_[it->second];
+            switch (record.type) {
+              case FleetRecord::Result:
                 if (cell.phase == CellState::Phase::Pending) {
                     cell.phase = CellState::Phase::Done;
                     ++resumed_;
                 }
                 break;
-              }
               case FleetRecord::Timeout:
-              case FleetRecord::Crash: {
-                const FailurePayload failure =
-                    decodeFailure(record.payload);
-                const auto it = cellOf_.find(failure.fingerprint);
-                if (it != cellOf_.end()) {
-                    CellState &cell = cells_[it->second];
-                    cell.attempts =
-                        std::max(cell.attempts, failure.attempts);
-                    cell.lastError = failure.message;
+              case FleetRecord::Crash:
+                cell.attempts = std::max(cell.attempts, record.attempts);
+                cell.lastError = record.message;
+                break;
+              case FleetRecord::Quarantine:
+                if (cell.phase == CellState::Phase::Pending) {
+                    cell.phase = CellState::Phase::Quarantined;
+                    cell.attempts = record.attempts;
+                    cell.lastError = record.message;
                 }
                 break;
-              }
-              case FleetRecord::Quarantine: {
-                const FailurePayload failure =
-                    decodeFailure(record.payload);
-                const auto it = cellOf_.find(failure.fingerprint);
-                if (it != cellOf_.end()) {
-                    CellState &cell = cells_[it->second];
-                    if (cell.phase == CellState::Phase::Pending) {
-                        cell.phase = CellState::Phase::Quarantined;
-                        cell.attempts = failure.attempts;
-                        cell.lastError = failure.message;
-                    }
-                }
-                break;
-              }
+              case FleetRecord::Header: break;
             }
-        }
-    }
+        });
 }
 
 void
-Coordinator::ensureShardHeaders()
+Coordinator::ensureShardHeaders(const std::vector<ShardSummary> &existing)
 {
     for (std::size_t shard = 0; shard < shards_; ++shard) {
-        const JournalScan scan = scanJournalFile(shardPath(shard));
-        if (scan.records.empty())
+        const std::string name = shardJournalName(shard);
+        const bool hasRecords = std::any_of(
+            existing.begin(), existing.end(),
+            [&](const ShardSummary &summary) {
+                return summary.journal == name && summary.records > 0;
+            });
+        if (!hasRecords)
             parentWriter(shard).append(
                 static_cast<std::uint8_t>(FleetRecord::Header),
                 encodeHeader(campaignId_,
@@ -650,9 +660,8 @@ Coordinator::dispatchIdleWorkers()
             char line[64];
             const int len = std::snprintf(line, sizeof(line), "R %zu\n",
                                           cell);
-            try {
-                writeAll(worker.cmdFd, line, static_cast<std::size_t>(len));
-            } catch (const std::exception &) {
+            if (!writeFully(worker.cmdFd, line,
+                            static_cast<std::size_t>(len))) {
                 // Worker died between poll rounds; requeue, EOF path
                 // will handle the corpse.
                 queue.push_front(cell);
@@ -763,23 +772,6 @@ Coordinator::failCell(std::size_t cell, FleetRecord kind,
     }
 }
 
-bool
-Coordinator::journalHasResult(std::size_t shard, const std::string &fp)
-{
-    const JournalScan scan = scanJournalFile(shardPath(shard));
-    for (const JournalRecord &record : scan.records) {
-        if (static_cast<FleetRecord>(record.type) != FleetRecord::Result)
-            continue;
-        try {
-            if (decodeFleetResult(record.payload).fingerprint == fp)
-                return true;
-        } catch (const std::exception &) {
-            // Undecodable-but-checksummed record: format bug, not data.
-        }
-    }
-    return false;
-}
-
 void
 Coordinator::handleWorkerExit(std::size_t workerIndex, bool watchdogKill)
 {
@@ -796,14 +788,14 @@ Coordinator::handleWorkerExit(std::size_t workerIndex, bool watchdogKill)
 
     // The worker is dead, so its journal tail is quiescent: truncate
     // any torn record a SIGKILL mid-append left behind.
-    recoverJournalFile(shardPath(worker.shard));
+    const JournalScan scan = recoverJournalFile(shardPath(worker.shard));
 
     if (inFlight >= 0) {
         const auto cell = static_cast<std::size_t>(inFlight);
         // The record may have been completely written even though the
         // "D" event never arrived (killed between append and report):
         // trust the journal, never re-run a completed cell.
-        if (journalHasResult(worker.shard, cells_[cell].fingerprint)) {
+        if (hasResult(scan, cells_[cell].fingerprint)) {
             completeCell(cell);
         } else if (watchdogKill) {
             failCell(cell, FleetRecord::Timeout,
@@ -920,13 +912,8 @@ void
 Coordinator::shutdownWorkers()
 {
     for (WorkerProc &worker : workers_) {
-        if (worker.pid < 0)
-            continue;
-        try {
-            writeAll(worker.cmdFd, "Q\n", 2);
-        } catch (const std::exception &) {
-            // Already dead; reaped below.
-        }
+        if (worker.pid >= 0)
+            writeFully(worker.cmdFd, "Q\n", 2); // Dead: reaped below.
     }
     for (std::size_t i = 0; i < workers_.size(); ++i)
         if (workers_[i].pid >= 0)
@@ -938,8 +925,7 @@ Coordinator::run()
 {
     fs::create_directories(options_.dir);
     indexCells();
-    scanExistingJournals();
-    ensureShardHeaders();
+    ensureShardHeaders(scanExistingJournals());
 
     for (std::size_t i = 0; i < cells_.size(); ++i)
         if (cells_[i].phase == CellState::Phase::Pending)
@@ -1001,45 +987,26 @@ Coordinator::finalize()
     report.retries = retries_;
     report.drained = draining_;
 
-    std::vector<std::string> paths;
-    for (const auto &entry : fs::directory_iterator(options_.dir)) {
-        const std::string name = entry.path().filename().string();
-        if (name.rfind("shard_", 0) == 0 &&
-            name.size() > 8 && name.substr(name.size() - 8) == ".journal")
-            paths.push_back(entry.path().string());
-    }
-    std::sort(paths.begin(), paths.end());
-
     std::unordered_map<std::string, FleetCellResult> results;
     std::map<std::string, FleetQuarantineEntry> quarantined;
-    std::vector<JournalScan> scans;
-    for (const std::string &path : paths) {
-        scans.push_back(scanJournalFile(path));
-        for (const JournalRecord &record : scans.back().records) {
-            if (static_cast<FleetRecord>(record.type) ==
-                FleetRecord::Result) {
-                FleetCellResult result = decodeFleetResult(record.payload);
-                if (cellOf_.find(result.fingerprint) == cellOf_.end())
-                    continue;
-                if (!results
-                         .emplace(result.fingerprint, std::move(result))
-                         .second)
+    const std::vector<ShardSummary> shards = readShardJournals(
+        options_.dir, /*recover=*/false,
+        [&](const std::string &, const ShardRecord &record) {
+            if (cellOf_.find(record.fingerprint) == cellOf_.end())
+                return; // Header, or a cell of a superseded grid.
+            if (record.type == FleetRecord::Result) {
+                if (results.find(record.fingerprint) != results.end())
                     ++report.duplicateResults;
-            } else if (static_cast<FleetRecord>(record.type) ==
-                       FleetRecord::Quarantine) {
-                const FailurePayload failure =
-                    decodeFailure(record.payload);
-                if (cellOf_.find(failure.fingerprint) == cellOf_.end())
-                    continue;
-                FleetQuarantineEntry entry;
-                entry.fingerprint = failure.fingerprint;
-                entry.label = failure.label;
-                entry.attempts = failure.attempts;
-                entry.lastError = failure.message;
-                quarantined.emplace(failure.fingerprint, std::move(entry));
+                else
+                    results.emplace(record.fingerprint,
+                                    decodeFleetResult(*record.payload));
+            } else if (record.type == FleetRecord::Quarantine) {
+                quarantined.emplace(
+                    record.fingerprint,
+                    FleetQuarantineEntry{record.fingerprint, record.label,
+                                         record.attempts, record.message});
             }
-        }
-    }
+        });
     for (auto &[fp, entry] : quarantined)
         if (results.find(fp) == results.end())
             report.quarantined.push_back(entry);
@@ -1075,13 +1042,13 @@ Coordinator::finalize()
     report.completed = results.size();
     report.table = ResultTable(std::move(rows));
 
-    writeManifest(report, scans);
+    writeManifest(report, shards);
     return report;
 }
 
 void
 Coordinator::writeManifest(const FleetReport &report,
-                           const std::vector<JournalScan> &scans)
+                           const std::vector<ShardSummary> &shards)
 {
     const std::string path = options_.dir + "/manifest.json";
     const std::string tmp = path + ".tmp";
@@ -1107,41 +1074,27 @@ Coordinator::writeManifest(const FleetReport &report,
         const FleetQuarantineEntry &entry = report.quarantined[i];
         std::fputs(i == 0 ? "\n    {\"label\": " : ",\n    {\"label\": ",
                    out);
-        writeJsonEscaped(out, entry.label);
+        writeJsonString(out, entry.label);
         std::fprintf(out, ", \"attempts\": %u, \"last_error\": ",
                      entry.attempts);
-        writeJsonEscaped(out, entry.lastError);
+        writeJsonString(out, entry.lastError);
         std::fputs(", \"fingerprint\": ", out);
-        writeJsonEscaped(out, entry.fingerprint);
+        writeJsonString(out, entry.fingerprint);
         std::fputs("}", out);
     }
     std::fputs(report.quarantined.empty() ? "],\n" : "\n  ],\n", out);
     std::fputs("  \"shards\": [", out);
-    bool first = true;
-    std::size_t shard = 0;
-    for (const JournalScan &scan : scans) {
-        std::size_t nResults = 0, nTimeouts = 0, nCrashes = 0,
-                    nQuarantines = 0;
-        for (const JournalRecord &record : scan.records) {
-            switch (static_cast<FleetRecord>(record.type)) {
-              case FleetRecord::Result: ++nResults; break;
-              case FleetRecord::Timeout: ++nTimeouts; break;
-              case FleetRecord::Crash: ++nCrashes; break;
-              case FleetRecord::Quarantine: ++nQuarantines; break;
-              case FleetRecord::Header: break;
-            }
-        }
+    for (std::size_t i = 0; i < shards.size(); ++i) {
+        const ShardSummary &shard = shards[i];
         std::fprintf(out,
                      "%s\n    {\"journal\": \"%s\", \"records\": %zu, "
                      "\"results\": %zu, \"timeouts\": %zu, "
                      "\"crashes\": %zu, \"quarantines\": %zu}",
-                     first ? "" : ",", shardJournalName(shard).c_str(),
-                     scan.records.size(), nResults, nTimeouts, nCrashes,
-                     nQuarantines);
-        first = false;
-        ++shard;
+                     i == 0 ? "" : ",", shard.journal.c_str(),
+                     shard.records, shard.results, shard.timeouts,
+                     shard.crashes, shard.quarantines);
     }
-    std::fputs(scans.empty() ? "]\n}\n" : "\n  ]\n}\n", out);
+    std::fputs(shards.empty() ? "]\n}\n" : "\n  ]\n}\n", out);
     std::fclose(out);
     fs::rename(tmp, path);
 }
@@ -1164,7 +1117,7 @@ Coordinator::workerMain(std::size_t shard, int cmdFd, int evtFd)
     ::sigaction(SIGTERM, &action, nullptr);
 
     JournalWriter journal;
-    Runner runner(options_.workerJobs);
+    Runner runner(1); // Workers are the parallelism: one thread each.
     try {
         journal.open(shardPath(shard));
     } catch (const std::exception &e) {
@@ -1217,11 +1170,8 @@ Coordinator::workerMain(std::size_t shard, int cmdFd, int evtFd)
             event = "F " + std::to_string(cell) + " " +
                     sanitizeMessage(e.what()) + "\n";
         }
-        try {
-            writeAll(evtFd, event.data(), event.size());
-        } catch (const std::exception &) {
+        if (!writeFully(evtFd, event.data(), event.size()))
             ::_exit(0); // Coordinator is gone; result is journaled.
-        }
     }
 }
 

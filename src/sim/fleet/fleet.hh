@@ -69,9 +69,6 @@ struct FleetOptions
     /// Capped exponential backoff between attempts.
     double backoffBaseSec = 0.25;
     double backoffCapSec = 8.0;
-    /// Runner threads inside each worker (workers are the parallelism,
-    /// so the default keeps each cell single-threaded and seed-pure).
-    int workerJobs = 1;
     /// fdatasync every record (power-loss durability; see journal.hh).
     bool syncRecords = false;
     /**

@@ -62,6 +62,8 @@ baselineName(Baseline b)
     return "?";
 }
 
+} // namespace
+
 void
 writeJsonString(std::FILE *out, const std::string &s)
 {
@@ -81,8 +83,6 @@ writeJsonString(std::FILE *out, const std::string &s)
     }
     std::fputc('"', out);
 }
-
-} // namespace
 
 /** One memoized baseline. The once-flag serializes the (expensive)
  *  simulation so concurrent grid workers asking for the same key run it

@@ -67,6 +67,10 @@ struct SeedSummary
 /** Summarize one replica group (used by ResultTable::seedSummaries). */
 SeedSummary summarizeSeeds(const std::vector<double> &values);
 
+/** Write @p s to @p out as a quoted, escaped JSON string (the one
+ *  escaper behind result-table and fleet-manifest JSON). */
+void writeJsonString(std::FILE *out, const std::string &s);
+
 /**
  * Index-ordered scenario results. Renders to machine-readable JSON /
  * CSV; the benches keep their own printf table layouts and read values

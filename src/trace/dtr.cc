@@ -13,21 +13,6 @@
 
 namespace dapper {
 
-namespace {
-
-constexpr std::size_t kFrameHeaderBytes = 4 + 1 + 4 + 4;
-
-std::uint32_t
-loadU32(const unsigned char *p)
-{
-    return static_cast<std::uint32_t>(p[0]) |
-           static_cast<std::uint32_t>(p[1]) << 8 |
-           static_cast<std::uint32_t>(p[2]) << 16 |
-           static_cast<std::uint32_t>(p[3]) << 24;
-}
-
-} // namespace
-
 void
 dtrPutVarint(std::string &out, std::uint64_t v)
 {
@@ -61,23 +46,8 @@ dtrGetVarint(const unsigned char *&p, const unsigned char *end)
 std::string
 encodeDtrBlock(DtrBlock type, const std::string &payload)
 {
-    // The journal framing idiom (magic + type + length + CRC over
-    // [type, length, payload]) under the DTR magic.
-    ByteWriter header;
-    header.putU8(static_cast<std::uint8_t>(type));
-    header.putU32(static_cast<std::uint32_t>(payload.size()));
-    std::uint32_t crc =
-        crc32(header.bytes().data(), header.bytes().size());
-    crc = crc32(payload.data(), payload.size(), crc);
-
-    ByteWriter frame;
-    frame.putU32(kDtrMagic);
-    frame.putU8(static_cast<std::uint8_t>(type));
-    frame.putU32(static_cast<std::uint32_t>(payload.size()));
-    frame.putU32(crc);
-    std::string out = frame.take();
-    out += payload;
-    return out;
+    return encodeFrame(kDtrMagic, static_cast<std::uint8_t>(type),
+                       payload);
 }
 
 // ---------------------------------------------------------------------
@@ -229,38 +199,16 @@ TraceReader::~TraceReader()
 void
 TraceReader::parse()
 {
-    std::size_t off = 0;
+    const FrameScan scan = scanFrames(data_, size_, kDtrMagic);
     bool sawHeader = false;
     std::uint32_t headerBlocks = 0;
     std::uint64_t index = 0;
-    while (off < size_) {
-        if (size_ - off < kFrameHeaderBytes)
-            throw DtrError("torn tail: " + std::to_string(size_ - off) +
-                           " trailing bytes are not a complete frame");
-        const unsigned char *frame = data_ + off;
-        if (loadU32(frame) != kDtrMagic)
-            throw DtrError("bad block magic at offset " +
-                           std::to_string(off));
-        const std::uint8_t type = frame[4];
-        const std::uint32_t length = loadU32(frame + 5);
-        const std::uint32_t storedCrc = loadU32(frame + 9);
-        if (size_ - off - kFrameHeaderBytes < length)
-            throw DtrError("torn tail: block at offset " +
-                           std::to_string(off) +
-                           " extends past end of file");
-        const unsigned char *payload = frame + kFrameHeaderBytes;
-        // CRC over [type, length, payload] — the journal idiom.
-        std::uint32_t crc = crc32(frame + 4, 5);
-        crc = crc32(payload, length, crc);
-        if (crc != storedCrc)
-            throw DtrError("checksum mismatch in block at offset " +
-                           std::to_string(off));
-
-        ByteReader reader(payload, length);
-        if (type == static_cast<std::uint8_t>(DtrBlock::Header)) {
+    for (const FrameView &frame : scan.frames) {
+        ByteReader reader(frame.payload, frame.length);
+        if (frame.type == static_cast<std::uint8_t>(DtrBlock::Header)) {
             if (sawHeader)
                 throw DtrError("duplicate header block");
-            if (off != 0)
+            if (frame.offset != 0)
                 throw DtrError("header block is not first");
             sawHeader = true;
             const std::uint32_t version = reader.getU32();
@@ -274,7 +222,7 @@ TraceReader::parse()
             name_ = reader.getString();
             if (!reader.done())
                 throw DtrError("trailing bytes in header payload");
-        } else if (type == static_cast<std::uint8_t>(DtrBlock::Data)) {
+        } else if (frame.type == static_cast<std::uint8_t>(DtrBlock::Data)) {
             if (!sawHeader)
                 throw DtrError("data block before header");
             BlockRef ref;
@@ -282,18 +230,24 @@ TraceReader::parse()
             ref.count = reader.getU32();
             if (ref.count == 0)
                 throw DtrError("empty data block at offset " +
-                               std::to_string(off));
-            ref.records = payload + (length - reader.remaining());
-            ref.end = payload + length;
+                               std::to_string(frame.offset));
+            ref.records = frame.payload + (frame.length - reader.remaining());
+            ref.end = frame.payload + frame.length;
             ref.firstIndex = index;
             index += ref.count;
             blocks_.push_back(ref);
         } else {
-            throw DtrError("unknown block type " + std::to_string(type) +
-                           " at offset " + std::to_string(off));
+            throw DtrError("unknown block type " +
+                           std::to_string(frame.type) + " at offset " +
+                           std::to_string(frame.offset));
         }
-        off += kFrameHeaderBytes + length;
     }
+    // A trace is immutable: any invalid frame, a torn tail included,
+    // rejects the whole file.
+    if (scan.stopReason != nullptr)
+        throw DtrError("block at offset " +
+                       std::to_string(scan.stopOffset) + ": " +
+                       scan.stopReason);
     if (!sawHeader)
         throw DtrError("missing header block (empty or not a DTR file)");
     if (index != recordCount_)

@@ -3,14 +3,9 @@
  * DTR ("DAPPER trace") — the compact, versioned, mmap-able trace
  * container behind trace-replay workloads (src/trace/replay.hh).
  *
- * A DTR file is a sequence of CRC-framed blocks reusing the journal
- * framing idiom (src/common/journal.hh) with its own magic:
- *
- *   u32  magic     0x42525444 ("DTRB")
- *   u8   type      1 = Header, 2 = Data
- *   u32  length    payload byte count
- *   u32  crc32     IEEE CRC-32 over [type, length, payload]
- *   u8[] payload
+ * A DTR file is a sequence of blocks, each one CRC frame of
+ * src/common/journal.hh (encodeFrame / scanFrames) under the magic
+ * 0x42525444 ("DTRB"); the frame type is 1 = Header, 2 = Data.
  *
  * Header payload (must be the first block, exactly once):
  *
@@ -107,8 +102,8 @@ dtrZigzagDecode(std::uint64_t v)
            -static_cast<std::int64_t>(v & 1);
 }
 
-/** Frame one DTR block (header + CRC + payload) — the journal framing
- *  idiom under the DTR magic. Exposed so tests can craft invalid files. */
+/** Frame one DTR block (encodeFrame under the DTR magic). Exposed so
+ *  tests can craft invalid files. */
 std::string encodeDtrBlock(DtrBlock type, const std::string &payload);
 
 // ---------------------------------------------------------------------

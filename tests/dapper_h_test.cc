@@ -134,7 +134,7 @@ TEST(DapperH, ResetRuleIsConservativeButBounded)
 
 TEST(DapperH, NoBitVectorVariantCountsEveryAct)
 {
-    DapperHTracker tracker(cfg500(), false, true);
+    DapperHTracker tracker(cfg500(), false);
     MitigationVec out;
     const std::uint64_t g1 = tracker.group1Of(0, 0, 4, 100);
     tracker.onActivation(act(4, 100), out);

@@ -1,7 +1,8 @@
 /**
  * @file
  * Journal format tests: CRC-32 vectors, ByteWriter/ByteReader
- * round-trips (including bit-exact doubles), record framing, the
+ * round-trips (including bit-exact doubles), the CRC frame codec shared
+ * with DTR traces, record framing, the
  * durable-in-order scan contract, and torn-tail recovery — a journal
  * truncated at EVERY possible byte offset must recover exactly its
  * complete-record prefix, because a SIGKILLed fleet worker can die at
@@ -12,12 +13,14 @@
 
 #include <cstdio>
 #include <cstring>
+#include <set>
 #include <string>
 #include <vector>
 
 #include <unistd.h>
 
 #include "src/common/journal.hh"
+#include "src/trace/dtr.hh"
 
 namespace dapper {
 namespace {
@@ -111,6 +114,61 @@ TEST(ByteCodec, ReaderThrowsOnTruncation)
     // Length prefix says 6 but cut the payload short.
     ByteReader r2(w2.bytes().data(), w2.bytes().size() - 2);
     EXPECT_THROW(r2.getString(), std::runtime_error);
+}
+
+TEST(Frame, EncodeScanRoundTripPointsIntoTheBuffer)
+{
+    constexpr std::uint32_t kMagic = 0x12345678u;
+    const std::string image =
+        encodeFrame(kMagic, 3, "abc") + encodeFrame(kMagic, 9, "");
+    // magic(4) type(1) length(4) crc(4), then the payload.
+    ASSERT_EQ(image.size(), 13u + 3u + 13u);
+    const auto *bytes = reinterpret_cast<const unsigned char *>(image.data());
+    std::uint32_t storedCrc = 0;
+    for (int i = 3; i >= 0; --i)
+        storedCrc = storedCrc << 8 | bytes[9 + i];
+    EXPECT_EQ(storedCrc, crc32(bytes + 13, 3, crc32(bytes + 4, 5)));
+
+    const FrameScan scan = scanFrames(image.data(), image.size(), kMagic);
+    EXPECT_EQ(scan.stopReason, nullptr);
+    EXPECT_EQ(scan.stopOffset, image.size());
+    ASSERT_EQ(scan.frames.size(), 2u);
+    EXPECT_EQ(scan.frames[0].offset, 0u);
+    EXPECT_EQ(scan.frames[0].type, 3);
+    EXPECT_EQ(scan.frames[0].payload, bytes + 13);
+    EXPECT_EQ(scan.frames[0].length, 3u);
+    EXPECT_EQ(scan.frames[1].offset, 16u);
+    EXPECT_EQ(scan.frames[1].type, 9);
+    EXPECT_EQ(scan.frames[1].length, 0u);
+
+    // A journal record is exactly a frame under the journal magic.
+    EXPECT_EQ(encodeJournalRecord(5, "x"), encodeFrame(0x4A4C4644u, 5, "x"));
+}
+
+TEST(Frame, ScanStopsAtTheBadFrameWithDistinctReasons)
+{
+    constexpr std::uint32_t kMagic = 0x12345678u;
+    const std::string good = encodeFrame(kMagic, 1, "good");
+    const std::string next = encodeFrame(kMagic, 2, "payload");
+    std::string flipped = good + next;
+    flipped[good.size() + 9] ^= 0x01; // One bit of the stored CRC.
+    const std::vector<std::string> images = {
+        good + next.substr(0, 12),              // Header cut short.
+        good + next.substr(0, next.size() - 1), // Length past the end.
+        flipped,
+        good + encodeFrame(kMagic + 1, 2, "payload"),
+    };
+    std::set<std::string> reasons;
+    for (const std::string &image : images) {
+        const FrameScan scan =
+            scanFrames(image.data(), image.size(), kMagic);
+        ASSERT_EQ(scan.frames.size(), 1u);
+        EXPECT_EQ(scan.frames[0].length, 4u);
+        EXPECT_EQ(scan.stopOffset, good.size());
+        ASSERT_NE(scan.stopReason, nullptr);
+        reasons.insert(scan.stopReason);
+    }
+    EXPECT_EQ(reasons.size(), images.size());
 }
 
 TEST(Journal, EncodeScanRoundTrip)
@@ -229,6 +287,24 @@ TEST(Journal, GarbageLeadingBytesScanAsTornEmpty)
     EXPECT_TRUE(scan.torn);
     EXPECT_EQ(scan.validBytes, 0u);
     EXPECT_TRUE(scan.records.empty());
+}
+
+TEST(Journal, DtrBlockEndsTheScanAtItsOffset)
+{
+    // Journals and DTR traces share the frame codec: only the magic
+    // keeps a well-framed DTR block from reading as a journal record.
+    std::string image = encodeJournalRecord(1, "first");
+    image += encodeJournalRecord(2, "second");
+    const std::size_t journalEnd = image.size();
+    image += encodeDtrBlock(DtrBlock::Data, "trace block");
+    image += encodeJournalRecord(3, "after");
+
+    const JournalScan scan = scanJournalBytes(image.data(), image.size());
+    EXPECT_TRUE(scan.torn);
+    EXPECT_EQ(scan.validBytes, journalEnd);
+    ASSERT_EQ(scan.records.size(), 2u);
+    EXPECT_EQ(scan.records[0].payload, "first");
+    EXPECT_EQ(scan.records[1].payload, "second");
 }
 
 } // namespace

@@ -267,6 +267,34 @@ TEST(DtrRejection, UnsupportedVersionIsRejected)
     std::remove(path.c_str());
 }
 
+TEST(DtrRejection, JournalRecordIsRejectedByItsMagic)
+{
+    // A valid header payload in a journal frame: the frame is intact,
+    // so only the magic tells the two formats apart.
+    ByteWriter payload;
+    payload.putU32(kDtrVersion);
+    payload.putU64(0);
+    payload.putU64(0);
+    payload.putU32(0);
+    payload.putString("journal");
+    const std::string path = tempPath("journal.dtr");
+    spit(path,
+         encodeJournalRecord(static_cast<std::uint8_t>(DtrBlock::Header),
+                             payload.take()));
+    try {
+        TraceReader reader(path);
+        FAIL() << "journal frame accepted as a trace";
+    } catch (const DtrError &e) {
+        EXPECT_NE(std::string(e.what()).find("bad magic"),
+                  std::string::npos)
+            << e.what();
+        EXPECT_NE(std::string(e.what()).find("offset 0"),
+                  std::string::npos)
+            << e.what();
+    }
+    std::remove(path.c_str());
+}
+
 TEST(DtrRejection, HeaderAccountingMismatchIsRejected)
 {
     // A valid header claiming one record, but no data blocks follow.
