@@ -24,55 +24,59 @@ main(int argc, char **argv)
     printHeader("Ablation: DAPPER-H design ingredients", makeConfig(opt));
 
     // The attack dimension lives on the benign/streaming/refresh axis.
-    const auto variants = filterCells(
-        opt,
-        {
-            {"DAPPER-H (full)", "dapper-h", "", {}},
-            {"  - bit-vector", "dapper-h-nobv", "", {}},
-            {"DAPPER-S (single hash)", "dapper-s", "", {}},
-        },
-        argv[0], CellFilterSpec::trackerAxisOnly());
-    const auto cases = filterCells(
-        opt,
-        {
-            {"Benign", "", "none", Baseline::NoAttack},
-            {"Streaming", "", "streaming", Baseline::SameAttack},
-            {"Refresh", "", "refresh", Baseline::SameAttack},
-        },
-        argv[0], CellFilterSpec::attackAxisOnly());
-    const std::string workload = "429.mcf";
+    const Scenario base = baseScenario(opt);
+    std::vector<ScenarioCell> variants = {
+        {"DAPPER-H (full)", "dapper-h", "", {}},
+        {"  - bit-vector", "dapper-h-nobv", "", {}},
+        {"DAPPER-S (single hash)", "dapper-s", "", {}},
+    };
+    std::vector<ScenarioCell> cases = {
+        {"Benign", "", "none", Baseline::NoAttack},
+        {"Streaming", "", "streaming", Baseline::SameAttack},
+        {"Refresh", "", "refresh", Baseline::SameAttack},
+    };
+    filterCells(opt, base, argv[0], variants, cases);
+    const auto workloads = population(opt, {"429.mcf"});
 
     std::printf("%-26s", "Variant");
     for (std::size_t k = 0; k < cases.size(); ++k)
         std::printf(k == 0 ? " %10s" : " %12s", cases[k].label.c_str());
     std::printf("\n");
+    // Index: (workload, variant, case, seed); geomean over workloads.
     const std::size_t nVar = variants.size();
     const std::size_t nCases = cases.size();
-    ScenarioGrid grid(baseScenario(opt).workload(workload));
+    const std::size_t perWorkload = nVar * nCases;
+    ScenarioGrid grid = workloadGrid(base, workloads);
     grid.cells(variants).cells(cases);
-    Runner runner(opt.jobs);
-    ResultTable table = runner.run(grid);
-    const auto norms = table.normalizedValues();
+    const ResultTable table = runGrid(opt, grid, argv[0]);
+    const auto means = seedMeans(opt, table);
     for (std::size_t v = 0; v < nVar; ++v) {
         std::printf("%-26s", variants[v].label.c_str());
-        for (std::size_t k = 0; k < nCases; ++k)
-            std::printf(k == 0 ? " %10.4f" : " %12.4f",
-                        norms[v * nCases + k]);
+        for (std::size_t k = 0; k < nCases; ++k) {
+            std::vector<double> perW;
+            for (std::size_t w = 0; w < workloads.size(); ++w)
+                perW.push_back(means[w * perWorkload + v * nCases + k]);
+            std::printf(k == 0 ? " %10.4f" : " %12.4f", geomean(perW));
+        }
         std::printf("\n");
     }
 
-    // Mitigation-count view of the bit-vector's effect.
+    // Mitigation-count view of the bit-vector's effect: the mean over
+    // the Streaming column's runs (every workload and seed).
     if (opt.attackFilter.empty() || opt.attackFilter == "streaming") {
         std::printf("\nMitigations under the streaming attack:\n");
-        ScenarioGrid countGrid(
-            baseScenario(opt).workload(workload).attack("streaming"));
-        countGrid.cells(variants);
-        const ResultTable counts = runner.run(countGrid);
-        for (std::size_t v = 0; v < nVar; ++v)
-            std::printf("%-26s %llu\n", variants[v].label.c_str(),
-                        static_cast<unsigned long long>(
-                            counts.at(v).run.mitigations));
-        table.merge(counts);
+        for (const ScenarioCell &variant : variants) {
+            double sum = 0.0;
+            std::size_t runs = 0;
+            for (const ScenarioResult &row : table.rows())
+                if (row.scenario.trackerInfo().name == variant.tracker &&
+                    row.scenario.attackInfo().name == "streaming") {
+                    sum += static_cast<double>(row.run.mitigations);
+                    ++runs;
+                }
+            std::printf("%-26s %.0f\n", variant.label.c_str(),
+                        sum / static_cast<double>(runs));
+        }
     }
     finish(opt, "ablation_dapper_h", table);
     return 0;

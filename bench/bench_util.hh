@@ -1,19 +1,21 @@
 /**
  * @file
- * Shared helpers for the per-figure/table bench binaries: flag parsing
- * (--full for the complete 57-workload population, --nrh / --scale
- * overrides, registry-backed --tracker / --attack cell filters,
- * --json / --csv structured output), Scenario construction, suite
- * aggregation, and table printing.
+ * Shared helpers for the per-figure/table bench binaries: flag parsing,
+ * Scenario construction, the one grid executor, suite aggregation, and
+ * table printing.
  *
- * Benches declare a ScenarioGrid (axes + labels), execute it through a
- * Runner, and print from the returned ResultTable; finish() emits the
- * machine-readable rendering bench/run_all.sh collects. Since the
- * stats API, that rendering carries the full per-component telemetry
- * dict ("stats") and the tREFI probe time series ("series") for every
- * scenario — bench tables keep printing the typed RunResult fields,
- * but analysis scripts can read any exported counter without a bench
- * edit (table.statValues("llc.misses"), statSeries(row, "series.ipc")).
+ * Every grid bench takes one path: parse() the flags, resolve the
+ * workloads with population() and the table cells with filterCells(),
+ * build a ScenarioGrid on baseScenario(), execute it with runGrid() —
+ * an in-process Runner, or the crash-safe dapper-fleet coordinator
+ * under --fleet DIR, with the --seeds replica axis added innermost —
+ * read each cell through seedMeans() (or seedSummaries() for mean±CI
+ * columns), and finish() the --json / --csv rendering bench/run_all.sh
+ * collects. That rendering carries every replica's full telemetry dict
+ * ("stats") and tREFI probe series ("series").
+ *
+ * A flag either takes effect or is rejected: each binary hands parse()
+ * the flag groups it honours, and any other flag exits 2 with usage.
  */
 
 #ifndef DAPPER_BENCH_BENCH_UTIL_HH
@@ -21,6 +23,7 @@
 
 #include <algorithm>
 #include <chrono>
+#include <concepts>
 #include <cstdio>
 #include <cstdlib>
 #include <cstring>
@@ -66,148 +69,201 @@ struct Options
     int seeds = 1;           ///< Monte-Carlo replicas per cell.
 };
 
+/** Flag groups a bench binary can honour (parse()'s @p accepted). */
+enum FlagGroup : unsigned
+{
+    kConfigFlags = 1u << 0,  ///< --nrh --scale --windows
+    kFullFlag = 1u << 1,     ///< --full
+    kWorkloadFlag = 1u << 2, ///< --workload
+    kFilterFlags = 1u << 3,  ///< --tracker --attack
+    /// --jobs --json --csv --fleet --shards --watchdog --max-attempts:
+    /// runGrid's executor options and finish()'s renderings.
+    kGridFlags = 1u << 4,
+    kSeedsFlag = 1u << 5,    ///< --seeds
+    kRepeatFlag = 1u << 6,   ///< --repeat
+};
+
+/// A bench whose table comes from runGrid (parse()'s default).
+constexpr unsigned kGridBench = kConfigFlags | kFullFlag | kWorkloadFlag |
+                                kFilterFlags | kGridFlags | kSeedsFlag;
+/// A bench that drives one bare component, with no grid or workload.
+constexpr unsigned kComponentBench = kConfigFlags;
+constexpr unsigned kAllFlags = kGridBench | kRepeatFlag;
+
+/** --help text of one flag group's flags. */
+struct FlagHelp
+{
+    unsigned group;
+    const char *text;
+};
+
+inline constexpr FlagHelp kFlagHelp[] = {
+    {kFullFlag, "  --full           run all 57 workloads (default: the "
+                "bench's own list)\n"},
+    {kConfigFlags, "  --nrh N          RowHammer threshold (>= 1, "
+                   "default 500)\n"
+                   "  --scale X        window time-compression factor "
+                   "(> 0, default 16)\n"
+                   "  --windows N      simulated (scaled) tREFW windows "
+                   "(>= 1, default 2)\n"},
+    {kGridFlags, "  --jobs N         sweep worker threads (>= 1, "
+                 "default: DAPPER_JOBS or hardware)\n"},
+    {kRepeatFlag, "  --repeat N       timing repetitions: median of N "
+                  "runs, each asserted\n"
+                  "                   identical to the first\n"},
+    {kFilterFlags, "  --tracker NAME   restrict the tracker table cells "
+                   "to one tracker\n"
+                   "  --attack NAME    restrict the attack table cells "
+                   "to one attack\n"},
+    {kWorkloadFlag, "  --workload NAME  run only this registered "
+                    "workload (beats --full)\n"},
+    {kGridFlags,
+     "  --json FILE      also write results as JSON (incl. "
+     "per-component stats\n"
+     "                   and tREFI time series)\n"
+     "  --csv FILE       also write results as CSV (stat columns "
+     "appended)\n"
+     "  --fleet DIR      run the grid through the crash-safe fleet "
+     "runner;\n"
+     "                   DIR holds shard journals + manifest.json and "
+     "makes\n"
+     "                   the run resumable (completed cells are "
+     "skipped)\n"
+     "  --shards N       fleet worker processes (>= 1, default: auto)\n"
+     "  --watchdog S     fleet per-cell wall-clock limit in seconds "
+     "(> 0;\n"
+     "                   default: off)\n"
+     "  --max-attempts N fleet attempts before a cell is quarantined\n"
+     "                   (>= 1, default 3)\n"},
+    {kSeedsFlag, "  --seeds N        Monte-Carlo seed replicas per cell "
+                 "(>= 1, default 1);\n"
+                 "                   tables print seed means or "
+                 "mean+/-CI, JSON holds\n"
+                 "                   every replica\n"},
+};
+
+/** Print @p error (if any) and the usage of the @p accepted flag
+ *  groups, then exit with @p exitCode. */
 [[noreturn]] inline void
-usage(const char *prog, const char *error, int exitCode = 2)
+usage(const char *prog, const char *error, unsigned accepted = kAllFlags,
+      int exitCode = 2)
 {
     if (error != nullptr)
         std::fprintf(stderr, "%s: %s\n", prog, error);
-    std::fprintf(stderr,
-                 "usage: %s [options]\n"
-                 "  --full           run all 57 workloads (default: "
-                 "per-suite subset)\n"
-                 "  --nrh N          RowHammer threshold (>= 1, default "
-                 "500)\n"
-                 "  --scale X        window time-compression factor (> 0, "
-                 "default 16)\n"
-                 "  --windows N      simulated (scaled) tREFW windows "
-                 "(>= 1, default 2)\n"
-                 "  --jobs N         sweep worker threads (>= 1, default: "
-                 "DAPPER_JOBS or hardware)\n"
-                 "  --repeat N       timing repetitions; benches that "
-                 "report wall-clock\n"
-                 "                   take the median of N runs and assert "
-                 "identical results\n"
-                 "  --tracker NAME   restrict the tracker table cells to "
-                 "one tracker\n"
-                 "  --attack NAME    restrict the attack table cells to "
-                 "one attack\n"
-                 "  --workload NAME  restrict the workload population to "
-                 "one registered\n"
-                 "                   workload (synthetic or DTR trace "
-                 "replay)\n"
-                 "  --json FILE      also write results as JSON (incl. "
-                 "per-component stats\n"
-                 "                   and tREFI time series)\n"
-                 "  --csv FILE       also write results as CSV (stat "
-                 "columns appended)\n"
-                 "  --fleet DIR      run the grid through the crash-safe "
-                 "fleet runner;\n"
-                 "                   DIR holds shard journals + "
-                 "manifest.json and makes\n"
-                 "                   the run resumable (completed cells "
-                 "are skipped)\n"
-                 "  --shards N       fleet worker processes (>= 1, "
-                 "default: auto)\n"
-                 "  --watchdog S     fleet per-cell wall-clock limit in "
-                 "seconds (> 0;\n"
-                 "                   default: off)\n"
-                 "  --max-attempts N fleet attempts before a cell is "
-                 "quarantined\n"
-                 "                   (>= 1, default 3)\n"
-                 "  --seeds N        Monte-Carlo seed replicas per cell "
-                 "(>= 1, default 1);\n"
-                 "                   benches print mean +/- 95%% CI "
-                 "columns\n",
-                 prog);
-    std::fprintf(stderr, "trackers:");
-    for (const auto &name : TrackerRegistry::instance().names())
-        std::fprintf(stderr, " %s", name.c_str());
-    std::fprintf(stderr, "\nattacks :");
-    for (const auto &name : AttackRegistry::instance().names())
-        std::fprintf(stderr, " %s", name.c_str());
-    std::fprintf(stderr, "\nworkloads (%zu):",
-                 WorkloadRegistry::instance().names().size());
-    for (const auto &name : WorkloadRegistry::instance().names())
-        std::fprintf(stderr, " %s", name.c_str());
-    std::fprintf(stderr, "\n");
+    std::fprintf(stderr, "usage: %s [options]\n", prog);
+    for (const FlagHelp &flag : kFlagHelp)
+        if ((flag.group & accepted) != 0)
+            std::fputs(flag.text, stderr);
+    if ((accepted & kFilterFlags) != 0) {
+        std::fprintf(stderr, "trackers:");
+        for (const auto &name : TrackerRegistry::instance().names())
+            std::fprintf(stderr, " %s", name.c_str());
+        std::fprintf(stderr, "\nattacks :");
+        for (const auto &name : AttackRegistry::instance().names())
+            std::fprintf(stderr, " %s", name.c_str());
+        std::fprintf(stderr, "\n");
+    }
+    if ((accepted & kWorkloadFlag) != 0) {
+        std::fprintf(stderr, "workloads (%zu):",
+                     WorkloadRegistry::instance().names().size());
+        for (const auto &name : WorkloadRegistry::instance().names())
+            std::fprintf(stderr, " %s", name.c_str());
+        std::fprintf(stderr, "\n");
+    }
     std::exit(exitCode);
 }
 
+/**
+ * Parse a bench's command line. A flag outside the @p accepted groups
+ * is a usage error (exit 2), so no binary takes a flag it would ignore.
+ */
 inline Options
-parse(int argc, char **argv)
+parse(int argc, char **argv, unsigned accepted = kGridBench)
 {
     Options opt;
     const char *prog = argc > 0 ? argv[0] : "bench";
-    auto value = [&](int &i) -> const char * {
-        if (i + 1 >= argc)
-            usage(prog, "missing value for flag");
-        return argv[++i];
+    auto fail = [&](const std::string &error) {
+        usage(prog, error.c_str(), accepted);
     };
     for (int i = 1; i < argc; ++i) {
-        if (std::strcmp(argv[i], "--full") == 0) {
+        const char *arg = argv[i];
+        // Whether arg is @p flag; a flag this bench cannot honour fails.
+        auto is = [&](const char *flag, unsigned group) {
+            if (std::strcmp(arg, flag) != 0)
+                return false;
+            if ((accepted & group) == 0)
+                fail(std::string(flag) + " is not supported by this bench");
+            return true;
+        };
+        auto value = [&]() -> const char * {
+            if (i + 1 >= argc)
+                fail(std::string("missing value for ") + arg);
+            return argv[++i];
+        };
+        if (is("--full", kFullFlag)) {
             opt.full = true;
-        } else if (std::strcmp(argv[i], "--nrh") == 0) {
-            opt.nRH = std::atoi(value(i));
+        } else if (is("--nrh", kConfigFlags)) {
+            opt.nRH = std::atoi(value());
             if (opt.nRH < 1)
-                usage(prog, "--nrh must be >= 1");
-        } else if (std::strcmp(argv[i], "--scale") == 0) {
-            opt.timeScale = std::atof(value(i));
+                fail("--nrh must be >= 1");
+        } else if (is("--scale", kConfigFlags)) {
+            opt.timeScale = std::atof(value());
             if (opt.timeScale <= 0.0)
-                usage(prog, "--scale must be > 0");
-        } else if (std::strcmp(argv[i], "--windows") == 0) {
-            opt.windows = std::atoi(value(i));
+                fail("--scale must be > 0");
+        } else if (is("--windows", kConfigFlags)) {
+            opt.windows = std::atoi(value());
             if (opt.windows < 1)
-                usage(prog, "--windows must be >= 1");
-        } else if (std::strcmp(argv[i], "--jobs") == 0) {
-            opt.jobs = std::atoi(value(i));
+                fail("--windows must be >= 1");
+        } else if (is("--jobs", kGridFlags)) {
+            opt.jobs = std::atoi(value());
             if (opt.jobs < 1)
-                usage(prog, "--jobs must be >= 1");
-        } else if (std::strcmp(argv[i], "--repeat") == 0) {
-            opt.repeat = std::atoi(value(i));
+                fail("--jobs must be >= 1");
+        } else if (is("--repeat", kRepeatFlag)) {
+            opt.repeat = std::atoi(value());
             if (opt.repeat < 1)
-                usage(prog, "--repeat must be >= 1");
-        } else if (std::strcmp(argv[i], "--tracker") == 0) {
-            opt.trackerFilter = value(i);
+                fail("--repeat must be >= 1");
+        } else if (is("--tracker", kFilterFlags)) {
+            opt.trackerFilter = value();
             if (TrackerRegistry::instance().find(opt.trackerFilter) ==
                 nullptr)
-                usage(prog, "unknown --tracker (see list below)");
-        } else if (std::strcmp(argv[i], "--attack") == 0) {
-            opt.attackFilter = value(i);
+                fail("unknown --tracker (see list below)");
+        } else if (is("--attack", kFilterFlags)) {
+            opt.attackFilter = value();
             if (AttackRegistry::instance().find(opt.attackFilter) ==
                 nullptr)
-                usage(prog, "unknown --attack (see list below)");
-        } else if (std::strcmp(argv[i], "--workload") == 0) {
-            opt.workloadFilter = value(i);
+                fail("unknown --attack (see list below)");
+        } else if (is("--workload", kWorkloadFlag)) {
+            opt.workloadFilter = value();
             if (WorkloadRegistry::instance().find(opt.workloadFilter) ==
                 nullptr)
-                usage(prog, "unknown --workload (see list below)");
-        } else if (std::strcmp(argv[i], "--json") == 0) {
-            opt.jsonPath = value(i);
-        } else if (std::strcmp(argv[i], "--csv") == 0) {
-            opt.csvPath = value(i);
-        } else if (std::strcmp(argv[i], "--fleet") == 0) {
-            opt.fleetDir = value(i);
-        } else if (std::strcmp(argv[i], "--shards") == 0) {
-            opt.shards = std::atoi(value(i));
+                fail("unknown --workload (see list below)");
+        } else if (is("--json", kGridFlags)) {
+            opt.jsonPath = value();
+        } else if (is("--csv", kGridFlags)) {
+            opt.csvPath = value();
+        } else if (is("--fleet", kGridFlags)) {
+            opt.fleetDir = value();
+        } else if (is("--shards", kGridFlags)) {
+            opt.shards = std::atoi(value());
             if (opt.shards < 1)
-                usage(prog, "--shards must be >= 1");
-        } else if (std::strcmp(argv[i], "--watchdog") == 0) {
-            opt.watchdogSec = std::atof(value(i));
+                fail("--shards must be >= 1");
+        } else if (is("--watchdog", kGridFlags)) {
+            opt.watchdogSec = std::atof(value());
             if (opt.watchdogSec <= 0.0)
-                usage(prog, "--watchdog must be > 0");
-        } else if (std::strcmp(argv[i], "--max-attempts") == 0) {
-            opt.maxAttempts = std::atoi(value(i));
+                fail("--watchdog must be > 0");
+        } else if (is("--max-attempts", kGridFlags)) {
+            opt.maxAttempts = std::atoi(value());
             if (opt.maxAttempts < 1)
-                usage(prog, "--max-attempts must be >= 1");
-        } else if (std::strcmp(argv[i], "--seeds") == 0) {
-            opt.seeds = std::atoi(value(i));
+                fail("--max-attempts must be >= 1");
+        } else if (is("--seeds", kSeedsFlag)) {
+            opt.seeds = std::atoi(value());
             if (opt.seeds < 1)
-                usage(prog, "--seeds must be >= 1");
-        } else if (std::strcmp(argv[i], "--help") == 0 ||
-                   std::strcmp(argv[i], "-h") == 0) {
-            usage(prog, nullptr, 0);
+                fail("--seeds must be >= 1");
+        } else if (std::strcmp(arg, "--help") == 0 ||
+                   std::strcmp(arg, "-h") == 0) {
+            usage(prog, nullptr, accepted, 0);
         } else {
-            usage(prog, "unknown flag");
+            fail(std::string("unknown flag ") + arg);
         }
     }
     return opt;
@@ -230,29 +286,142 @@ baseScenario(const Options &opt)
     return Scenario().config(makeConfig(opt)).windows(opt.windows);
 }
 
-/** Append the --seeds Monte-Carlo replica axis (innermost, so
- *  ResultTable::seedSummaries can reduce consecutive groups). */
-inline ScenarioGrid &
-applySeeds(const Options &opt, ScenarioGrid &grid)
+/** The suite benches' default population: the two most attack-
+ *  sensitive (highest-RBMPKI) workloads per suite plus one
+ *  compute-bound control. */
+inline std::vector<std::string>
+suiteSubset()
 {
-    if (opt.seeds > 1)
-        grid.seeds(opt.seeds);
-    return grid;
+    static const char *kSuites[] = {"SPEC2K6", "SPEC2K17", "TPC",
+                                    "Hadoop", "MediaBench", "YCSB"};
+    std::vector<std::string> out;
+    for (const char *suite : kSuites) {
+        std::vector<std::pair<double, std::string>> ranked;
+        for (const auto &name : workloadsInSuite(suite))
+            ranked.emplace_back(findWorkload(name).rbmpki(), name);
+        std::sort(ranked.rbegin(), ranked.rend());
+        for (std::size_t i = 0; i < 2 && i < ranked.size(); ++i)
+            out.push_back(ranked[i].second);
+    }
+    out.push_back("456.hmmer"); // Compute-bound control.
+    return out;
 }
 
 /**
- * Execute a bench grid: in-process Runner by default, the dapper-fleet
- * coordinator when --fleet DIR was given. Fleet runs are crash-safe and
- * resumable. A campaign with quarantined cells but every cell otherwise
- * attempted still publishes its table — quarantined cells render as
- * explicit "--" / null gaps with a "quarantined" marker, so partial
- * results are not lost. A drained campaign (SIGINT before every cell
- * ran) cannot produce the table; it reports progress and exits 3 —
- * re-run with the same --fleet DIR to continue where it stopped.
+ * A bench's workload population, in one resolution order: exactly the
+ * --workload, else all 57 with --full, else @p fallback (the bench's
+ * own default list).
+ */
+inline std::vector<std::string>
+population(const Options &opt,
+           std::vector<std::string> fallback = suiteSubset())
+{
+    if (!opt.workloadFilter.empty()) {
+        // Suite-population benches group results with findWorkload()
+        // metadata (suite, rbmpki), which trace workloads don't carry.
+        if (WorkloadRegistry::instance().at(opt.workloadFilter).isTrace)
+            usage("bench",
+                  "--workload: this bench's population is synthetic-"
+                  "only; trace workloads run via trace-aware benches "
+                  "(fig_multiprog, trace_tool replay)");
+        return {opt.workloadFilter};
+    }
+    if (opt.full)
+        return workloadsInSuite("All");
+    return fallback;
+}
+
+/**
+ * Grid over @p base with @p workloads as its first (outermost) axis,
+ * for benches whose default table is a single workload: a one-workload
+ * population is set on the base instead, so its rows keep the labels
+ * of that fixed table.
+ */
+inline ScenarioGrid
+workloadGrid(Scenario base, const std::vector<std::string> &workloads)
+{
+    if (workloads.size() == 1)
+        return ScenarioGrid(base.workload(workloads.front()));
+    ScenarioGrid grid(std::move(base));
+    grid.workloads(workloads);
+    return grid;
+}
+
+/** The Figs. 1 / 3 / 4 / 5 columns: cache thrashing on an unprotected
+ *  system, then each scalable tracker under its tailored Perf-Attack. */
+inline std::vector<ScenarioCell>
+perfAttackColumns()
+{
+    return {
+        {"CacheThrash", "none", "cache-thrash", {}},
+        {"Hydra", "hydra", "hydra-rcc", {}},
+        {"START", "start", "start-stream", {}},
+        {"ABACUS", "abacus", "abacus-spill", {}},
+        {"CoMeT", "comet", "comet-rat", {}},
+    };
+}
+
+/**
+ * Apply --tracker / --attack to the table cells of a bench whose grid
+ * is built on @p base and crosses @p lists. Each filter keeps the
+ * matching cells of every list that varies its dimension. When no list
+ * varies it, @p base pins it: the pinned name is a no-op and any other
+ * name is a usage error, as is a filter that empties a list.
+ */
+template <std::same_as<std::vector<ScenarioCell>>... Lists>
+inline void
+filterCells(const Options &opt, const Scenario &base, const char *prog,
+            Lists &...lists)
+{
+    const std::vector<std::vector<ScenarioCell> *> all{&lists...};
+    auto apply = [&](const std::string &filter, const char *flag,
+                     const std::string &pinned,
+                     std::string ScenarioCell::*field) {
+        if (filter.empty())
+            return;
+        const std::string error =
+            std::string(flag) + " matches no table cell of this bench";
+        bool varied = false;
+        for (std::vector<ScenarioCell> *cells : all) {
+            if (std::all_of(cells->begin(), cells->end(),
+                            [&](const ScenarioCell &c) {
+                                return (c.*field).empty();
+                            }))
+                continue;
+            varied = true;
+            std::erase_if(*cells, [&](const ScenarioCell &c) {
+                return c.*field != filter;
+            });
+            if (cells->empty())
+                usage(prog, error.c_str());
+        }
+        if (!varied && filter != pinned)
+            usage(prog, error.c_str());
+    };
+    apply(opt.trackerFilter, "--tracker", base.trackerInfo().name,
+          &ScenarioCell::tracker);
+    apply(opt.attackFilter, "--attack", base.attackInfo().name,
+          &ScenarioCell::attack);
+}
+
+/**
+ * The one grid executor of the benches: an in-process Runner by default,
+ * the dapper-fleet coordinator when --fleet DIR was given. With --seeds
+ * N it first appends the N-replica seed axis innermost, so consecutive
+ * groups of N rows are one cell (seedMeans / seedSummaries). Fleet runs
+ * are crash-safe and resumable. A campaign with quarantined cells but
+ * every cell otherwise attempted still publishes its table —
+ * quarantined cells render as explicit "--" / null gaps with a
+ * "quarantined" marker, so partial results are not lost. A drained
+ * campaign (SIGINT before every cell ran) cannot produce the table; it
+ * reports progress and exits 3 — re-run with the same --fleet DIR to
+ * continue where it stopped.
  */
 inline ResultTable
-runGrid(const Options &opt, const ScenarioGrid &grid, const char *prog)
+runGrid(const Options &opt, ScenarioGrid grid, const char *prog)
 {
+    if (opt.seeds > 1)
+        grid.seeds(opt.seeds);
     if (opt.fleetDir.empty()) {
         Runner runner(opt.jobs);
         return runner.run(grid);
@@ -293,116 +462,16 @@ runGrid(const Options &opt, const ScenarioGrid &grid, const char *prog)
     return report.table;
 }
 
-/**
- * How filterCells should treat each --tracker / --attack dimension for
- * one cell list. A bench whose tracker or attack is pinned in the base
- * scenario (not varied by any cell axis) names that fixed value here:
- * a filter naming it is a no-op, anything else is a usage error. A
- * dimension another cell axis of the same bench varies is marked
- * not-applied so this list doesn't reject its filter.
- */
-struct CellFilterSpec
+/** Each cell's normalized value, averaged over its --seeds replicas, in
+ *  cell order; with one seed, each cell's own value bit for bit. */
+inline std::vector<double>
+seedMeans(const Options &opt, const ResultTable &table)
 {
-    bool applyTracker = true;
-    bool applyAttack = true;
-    std::string fixedTracker; ///< Base-scenario tracker, if pinned.
-    std::string fixedAttack;  ///< Base-scenario attack, if pinned.
-
-    /** The bench's tracker is pinned in the base scenario. */
-    static CellFilterSpec
-    pinTracker(std::string name)
-    {
-        CellFilterSpec spec;
-        spec.fixedTracker = std::move(name);
-        return spec;
-    }
-
-    /** The bench's attack is pinned in the base scenario. */
-    static CellFilterSpec
-    pinAttack(std::string name)
-    {
-        CellFilterSpec spec;
-        spec.fixedAttack = std::move(name);
-        return spec;
-    }
-
-    /** This list is a tracker axis; another axis varies the attack. */
-    static CellFilterSpec
-    trackerAxisOnly()
-    {
-        CellFilterSpec spec;
-        spec.applyAttack = false;
-        return spec;
-    }
-
-    /** This list is an attack axis; another axis varies the tracker. */
-    static CellFilterSpec
-    attackAxisOnly()
-    {
-        CellFilterSpec spec;
-        spec.applyTracker = false;
-        return spec;
-    }
-};
-
-/**
- * Apply --tracker / --attack to a bench's table cells: keep only the
- * matching cells. A filter naming a tracker/attack the bench's table
- * cannot show is a usage error, never a silent no-op.
- */
-inline std::vector<ScenarioCell>
-filterCells(const Options &opt, std::vector<ScenarioCell> cells,
-            const char *prog, const CellFilterSpec &spec = {})
-{
-    auto apply = [&](const std::string &filter, const char *flag,
-                     const std::string &fixed, auto field) {
-        if (filter.empty())
-            return;
-        bool carries = false;
-        for (const ScenarioCell &cell : cells)
-            carries = carries || !field(cell).empty();
-        if (!carries) {
-            // The dimension is pinned in the base scenario: only its
-            // own name passes (and changes nothing).
-            if (filter != fixed)
-                usage(prog, (std::string(flag) +
-                             " matches no table cell of this bench")
-                                .c_str());
-            return;
-        }
-        std::vector<ScenarioCell> kept;
-        for (const ScenarioCell &cell : cells)
-            if (field(cell) == filter)
-                kept.push_back(cell);
-        if (kept.empty())
-            usage(prog, (std::string(flag) +
-                         " matches no table cell of this bench")
-                            .c_str());
-        cells = std::move(kept);
-    };
-    if (spec.applyTracker)
-        apply(opt.trackerFilter, "--tracker", spec.fixedTracker,
-              [](const ScenarioCell &c) -> const std::string & {
-                  return c.tracker;
-              });
-    if (spec.applyAttack)
-        apply(opt.attackFilter, "--attack", spec.fixedAttack,
-              [](const ScenarioCell &c) -> const std::string & {
-                  return c.attack;
-              });
-    return cells;
-}
-
-/** For benches whose table is a fixed comparison (tab04's none-vs-
- *  DAPPER-H energy ratios, micro_controller's bare controller): the
- *  filters cannot apply, so naming one is a usage error. */
-inline void
-rejectFilters(const Options &opt, const char *prog)
-{
-    if (!opt.trackerFilter.empty() || !opt.attackFilter.empty())
-        usage(prog,
-              "this bench's table is fixed; --tracker/--attack are not "
-              "supported here");
+    std::vector<double> out;
+    for (const SeedSummary &s :
+         table.seedSummaries(static_cast<std::size_t>(opt.seeds)))
+        out.push_back(s.mean);
+    return out;
 }
 
 /**
@@ -440,55 +509,6 @@ inline Tick
 horizonOf(const SysConfig &cfg, const Options &opt)
 {
     return static_cast<Tick>(opt.windows) * cfg.tREFW();
-}
-
-/** Workload population: per-suite subset by default, all 57 with
- *  --full, exactly the named workload with --workload. */
-inline std::vector<std::string>
-population(const Options &opt, int perSuite = 2)
-{
-    if (!opt.workloadFilter.empty()) {
-        // Suite-population benches group results with findWorkload()
-        // metadata (suite, rbmpki), which trace workloads don't carry.
-        if (WorkloadRegistry::instance().at(opt.workloadFilter).isTrace)
-            usage("bench",
-                  "--workload: this bench's population is synthetic-"
-                  "only; trace workloads run via trace-aware benches "
-                  "(fig_multiprog, trace_tool replay)");
-        return {opt.workloadFilter};
-    }
-    if (opt.full)
-        return workloadsInSuite("All");
-    // The most attack-sensitive (highest-RBMPKI) workloads per suite plus
-    // one compute-bound control.
-    static const char *kSuites[] = {"SPEC2K6", "SPEC2K17", "TPC",
-                                    "Hadoop", "MediaBench", "YCSB"};
-    std::vector<std::string> out;
-    for (const char *suite : kSuites) {
-        std::vector<std::pair<double, std::string>> ranked;
-        for (const auto &name : workloadsInSuite(suite))
-            ranked.emplace_back(findWorkload(name).rbmpki(), name);
-        std::sort(ranked.rbegin(), ranked.rend());
-        for (int i = 0; i < perSuite && i < static_cast<int>(ranked.size());
-             ++i)
-            out.push_back(ranked[static_cast<std::size_t>(i)].second);
-    }
-    out.push_back("456.hmmer"); // Compute-bound control.
-    return out;
-}
-
-/**
- * One probe time series of a scenario result, by full exported name
- * ("series.ipc", "series.mitigationsPerTrefi"); throws
- * std::out_of_range when absent so a typo cannot read as "no data".
- */
-inline const std::vector<double> &
-statSeries(const ScenarioResult &row, const std::string &name)
-{
-    const StatSeries *series = row.run.stats.findSeries(name);
-    if (series == nullptr)
-        throw std::out_of_range("no series '" + name + "'");
-    return series->values;
 }
 
 /**

@@ -22,24 +22,16 @@ main(int argc, char **argv)
     printHeader("Figure 1: motivation — Perf-Attacks on scalable trackers",
                 makeConfig(opt));
 
-    const auto columns = filterCells(
-        opt,
-        {
-            {"CacheThrash", "none", "cache-thrash", {}},
-            {"Hydra", "hydra", "hydra-rcc", {}},
-            {"START", "start", "start-stream", {}},
-            {"ABACUS", "abacus", "abacus-spill", {}},
-            {"CoMeT", "comet", "comet-rat", {}},
-        },
-        argv[0]);
+    const Scenario base = baseScenario(opt).baseline(Baseline::NoAttack);
+    std::vector<ScenarioCell> columns = perfAttackColumns();
+    filterCells(opt, base, argv[0], columns);
 
     const auto workloads = population(opt);
     const std::size_t nCols = columns.size();
-    ScenarioGrid grid(baseScenario(opt).baseline(Baseline::NoAttack));
+    ScenarioGrid grid(base);
     grid.workloads(workloads).cells(columns);
-    Runner runner(opt.jobs);
-    const ResultTable table = runner.run(grid);
-    const auto norms = table.normalizedValues();
+    const ResultTable table = runGrid(opt, grid, argv[0]);
+    const auto norms = seedMeans(opt, table);
 
     std::map<std::string, std::map<std::string, double>> results;
     for (std::size_t c = 0; c < nCols; ++c) {

@@ -21,16 +21,9 @@ main(int argc, char **argv)
     printHeader("Figure 3: per-workload Perf-Attack impact",
                 makeConfig(opt));
 
-    const auto columns = filterCells(
-        opt,
-        {
-            {"CacheThrash", "none", "cache-thrash", {}},
-            {"Hydra", "hydra", "hydra-rcc", {}},
-            {"START", "start", "start-stream", {}},
-            {"ABACUS", "abacus", "abacus-spill", {}},
-            {"CoMeT", "comet", "comet-rat", {}},
-        },
-        argv[0]);
+    const Scenario base = baseScenario(opt).baseline(Baseline::NoAttack);
+    std::vector<ScenarioCell> columns = perfAttackColumns();
+    filterCells(opt, base, argv[0], columns);
 
     const auto workloads = population(opt);
     std::printf("%-22s %7s", "Workload", "RBMPKI");
@@ -39,9 +32,8 @@ main(int argc, char **argv)
     std::printf("\n");
 
     const std::size_t nCols = columns.size();
-    ScenarioGrid grid(baseScenario(opt).baseline(Baseline::NoAttack));
+    ScenarioGrid grid(base);
     grid.workloads(workloads).cells(columns);
-    applySeeds(opt, grid);
     const ResultTable table = runGrid(opt, grid, argv[0]);
     // One summary per (workload, column); with --seeds 1 the mean is
     // the single measurement and the CI half-width is 0.

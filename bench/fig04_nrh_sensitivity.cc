@@ -21,21 +21,13 @@ main(int argc, char **argv)
     printHeader("Figure 4: N_RH sensitivity of Perf-Attacks",
                 makeConfig(opt));
 
-    const auto columns = filterCells(
-        opt,
-        {
-            {"CacheThrash", "none", "cache-thrash", {}},
-            {"Hydra", "hydra", "hydra-rcc", {}},
-            {"START", "start", "start-stream", {}},
-            {"ABACUS", "abacus", "abacus-spill", {}},
-            {"CoMeT", "comet", "comet-rat", {}},
-        },
-        argv[0]);
+    const Scenario base = baseScenario(opt).baseline(Baseline::NoAttack);
+    std::vector<ScenarioCell> columns = perfAttackColumns();
+    filterCells(opt, base, argv[0], columns);
     const std::vector<int> thresholds = {500, 1000, 2000, 4000};
 
     const auto workloads =
-        opt.full ? population(opt) : std::vector<std::string>{
-                                         "429.mcf", "510.parest", "ycsb-a"};
+        population(opt, {"429.mcf", "510.parest", "ycsb-a"});
 
     std::printf("%-8s", "NRH");
     for (const ScenarioCell &col : columns)
@@ -44,11 +36,10 @@ main(int argc, char **argv)
 
     const std::size_t nCols = columns.size();
     const std::size_t perRow = nCols * workloads.size();
-    ScenarioGrid grid(baseScenario(opt).baseline(Baseline::NoAttack));
+    ScenarioGrid grid(base);
     grid.nRH(thresholds).cells(columns).workloads(workloads);
-    Runner runner(opt.jobs);
-    const ResultTable table = runner.run(grid);
-    const auto norms = table.normalizedValues();
+    const ResultTable table = runGrid(opt, grid, argv[0]);
+    const auto norms = seedMeans(opt, table);
 
     for (std::size_t t = 0; t < thresholds.size(); ++t) {
         std::printf("%-8d", thresholds[t]);

@@ -20,21 +20,16 @@ main(int argc, char **argv)
     printHeader("Figure 5: LLC-capacity / channel-count sensitivity",
                 makeConfig(opt));
 
-    const auto columns = filterCells(
-        opt,
-        {
-            {"CacheThrash", "none", "cache-thrash", {}},
-            {"Hydra", "hydra", "hydra-rcc", {}},
-            {"START", "start", "start-stream", {}},
-            {"ABACUS", "abacus", "abacus-spill", {}},
-            {"CoMeT", "comet", "comet-rat", {}},
-        },
-        argv[0]);
+    const Scenario base =
+        baseScenario(opt)
+            .baseline(Baseline::NoAttack)
+            .tweak([](SysConfig &cfg) { cfg.channels = 8; });
+    std::vector<ScenarioCell> columns = perfAttackColumns();
+    filterCells(opt, base, argv[0], columns);
     const int llcPerCoreMB[] = {2, 3, 4, 5};
 
     const auto workloads =
-        opt.full ? population(opt) : std::vector<std::string>{
-                                         "429.mcf", "510.parest", "ycsb-a"};
+        population(opt, {"429.mcf", "510.parest", "ycsb-a"});
 
     std::printf("%-10s", "LLC/core");
     for (const ScenarioCell &col : columns)
@@ -57,13 +52,10 @@ main(int argc, char **argv)
                                  });
                              });
 
-    ScenarioGrid grid(baseScenario(opt)
-                          .baseline(Baseline::NoAttack)
-                          .tweak([](SysConfig &cfg) { cfg.channels = 8; }));
+    ScenarioGrid grid(base);
     grid.axis(std::move(capAxis)).cells(columns).workloads(workloads);
-    Runner runner(opt.jobs);
-    const ResultTable table = runner.run(grid);
-    const auto norms = table.normalizedValues();
+    const ResultTable table = runGrid(opt, grid, argv[0]);
+    const auto norms = seedMeans(opt, table);
 
     for (std::size_t m = 0; m < nCaps; ++m) {
         std::printf("%-9dM", llcPerCoreMB[m]);

@@ -21,13 +21,12 @@ main(int argc, char **argv)
     printHeader("Figure 9: mapping-agnostic attacks on DAPPER-S",
                 makeConfig(opt));
 
-    const auto attacks = filterCells(
-        opt,
-        {
-            {"Streaming ovh% (vsIdle/vsAtk)", "", "streaming", {}},
-            {"Refresh ovh% (vsIdle/vsAtk)", "", "refresh", {}},
-        },
-        argv[0], CellFilterSpec::pinTracker("dapper-s"));
+    const Scenario base = baseScenario(opt).tracker("dapper-s");
+    std::vector<ScenarioCell> attacks = {
+        {"Streaming ovh% (vsIdle/vsAtk)", "", "streaming", {}},
+        {"Refresh ovh% (vsIdle/vsAtk)", "", "refresh", {}},
+    };
+    filterCells(opt, base, argv[0], attacks);
 
     const auto workloads = population(opt);
     std::printf("%-14s", "Suite");
@@ -37,12 +36,11 @@ main(int argc, char **argv)
 
     // Grid: (attack, workload) x {NoAttack, SameAttack} baselines.
     const std::size_t nAtk = attacks.size();
-    ScenarioGrid grid(baseScenario(opt).tracker("dapper-s"));
+    ScenarioGrid grid(base);
     grid.cells(attacks).workloads(workloads).baselines(
         {Baseline::NoAttack, Baseline::SameAttack});
-    Runner runner(opt.jobs);
-    const ResultTable table = runner.run(grid);
-    const auto norms = table.normalizedValues();
+    const ResultTable table = runGrid(opt, grid, argv[0]);
+    const auto norms = seedMeans(opt, table);
 
     std::map<std::string, std::map<std::string, double>> idleN;
     std::map<std::string, std::map<std::string, double>> atkN;

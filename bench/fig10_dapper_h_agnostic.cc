@@ -21,15 +21,13 @@ main(int argc, char **argv)
     printHeader("Figure 10: mapping-agnostic attacks on DAPPER-H",
                 makeConfig(opt));
 
-    const auto attacks = filterCells(opt,
-                                     {
-                                         {"Stream ovh%", "", "streaming",
-                                          {}},
-                                         {"Refresh ovh%", "", "refresh",
-                                          {}},
-                                     },
-                                     argv[0],
-                                     CellFilterSpec::pinTracker("dapper-h"));
+    const Scenario base = baseScenario(opt).tracker("dapper-h").baseline(
+        Baseline::SameAttack);
+    std::vector<ScenarioCell> attacks = {
+        {"Stream ovh%", "", "streaming", {}},
+        {"Refresh ovh%", "", "refresh", {}},
+    };
+    filterCells(opt, base, argv[0], attacks);
 
     const auto workloads = population(opt);
     std::printf("%-22s %7s", "Workload", "RBMPKI");
@@ -38,13 +36,10 @@ main(int argc, char **argv)
     std::printf("\n");
 
     const std::size_t nAtk = attacks.size();
-    ScenarioGrid grid(baseScenario(opt)
-                          .tracker("dapper-h")
-                          .baseline(Baseline::SameAttack));
+    ScenarioGrid grid(base);
     grid.workloads(workloads).cells(attacks);
-    Runner runner(opt.jobs);
-    const ResultTable table = runner.run(grid);
-    const auto norms = table.normalizedValues();
+    const ResultTable table = runGrid(opt, grid, argv[0]);
+    const auto norms = seedMeans(opt, table);
 
     std::vector<std::vector<double>> all(nAtk);
     for (std::size_t w = 0; w < workloads.size(); ++w) {

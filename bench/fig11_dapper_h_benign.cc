@@ -21,13 +21,13 @@ main(int argc, char **argv)
     std::printf("%-22s %7s %12s %12s\n", "Workload", "RBMPKI", "Norm",
                 "Overhead%");
 
-    ScenarioGrid grid(baseScenario(opt).baseline(Baseline::NoAttack));
-    grid.workloads(workloads).cells(filterCells(
-        opt, {{"", "dapper-h", "", {}}}, argv[0],
-        CellFilterSpec::pinAttack("none")));
-    Runner runner(opt.jobs);
-    const ResultTable table = runner.run(grid);
-    const auto norms = table.normalizedValues();
+    const Scenario base = baseScenario(opt).baseline(Baseline::NoAttack);
+    std::vector<ScenarioCell> cells = {{"", "dapper-h", "", {}}};
+    filterCells(opt, base, argv[0], cells);
+    ScenarioGrid grid(base);
+    grid.workloads(workloads).cells(cells);
+    const ResultTable table = runGrid(opt, grid, argv[0]);
+    const auto norms = seedMeans(opt, table);
 
     std::vector<double> all;
     double worst = 1.0;

@@ -22,22 +22,19 @@ main(int argc, char **argv)
 
     const std::vector<int> thresholds = {125, 250, 500, 1000, 2000, 4000};
     const auto workloads =
-        opt.full ? population(opt) : std::vector<std::string>{
-                                         "429.mcf", "510.parest", "ycsb-a"};
+        population(opt, {"429.mcf", "510.parest", "ycsb-a"});
 
     std::printf("%-8s %14s %18s %18s\n", "NRH", "Benign",
                 "Streaming attack", "Refresh attack");
-    const auto cells = filterCells(
-        opt,
-        {
-            {"benign", "", "none", Baseline::NoAttack},
-            {"streaming", "", "streaming", Baseline::SameAttack},
-            {"refresh", "", "refresh", Baseline::SameAttack},
-        },
-        argv[0], CellFilterSpec::pinTracker("dapper-h"));
-    ScenarioGrid grid(baseScenario(opt).tracker("dapper-h"));
+    const Scenario base = baseScenario(opt).tracker("dapper-h");
+    std::vector<ScenarioCell> cells = {
+        {"benign", "", "none", Baseline::NoAttack},
+        {"streaming", "", "streaming", Baseline::SameAttack},
+        {"refresh", "", "refresh", Baseline::SameAttack},
+    };
+    filterCells(opt, base, argv[0], cells);
+    ScenarioGrid grid(base);
     grid.nRH(thresholds).cells(cells).workloads(workloads);
-    applySeeds(opt, grid);
     const ResultTable table = runGrid(opt, grid, argv[0]);
     const auto norms = table.normalizedValues();
 

@@ -20,24 +20,19 @@ main(int argc, char **argv)
     printHeader("Figure 13: blast radius and DRFMsb cost", makeConfig(opt));
 
     // The attack dimension lives on the benign/attacked cell axis below.
-    const auto variants = filterCells(opt,
-                                      {
-                                          {"", "dapper-h", "", {}},
-                                          {"", "dapper-h-br2", "", {}},
-                                          {"", "dapper-h-drfmsb", "", {}},
-                                      },
-                                      argv[0], CellFilterSpec::trackerAxisOnly());
-    const auto halves = filterCells(
-        opt,
-        {
-            {"benign", "", "none", Baseline::NoAttack},
-            {"attacked", "", "refresh", Baseline::SameAttack},
-        },
-        argv[0], CellFilterSpec::attackAxisOnly());
+    const Scenario base = baseScenario(opt);
+    std::vector<ScenarioCell> variants = {
+        {"", "dapper-h", "", {}},
+        {"", "dapper-h-br2", "", {}},
+        {"", "dapper-h-drfmsb", "", {}},
+    };
+    std::vector<ScenarioCell> halves = {
+        {"benign", "", "none", Baseline::NoAttack},
+        {"attacked", "", "refresh", Baseline::SameAttack},
+    };
+    filterCells(opt, base, argv[0], variants, halves);
     const std::vector<int> thresholds = {125, 250, 500, 1000, 2000, 4000};
-    const auto workloads =
-        opt.full ? population(opt) : std::vector<std::string>{
-                                         "429.mcf", "ycsb-a"};
+    const auto workloads = population(opt, {"429.mcf", "ycsb-a"});
 
     std::printf("%-8s", "NRH");
     for (const ScenarioCell &v : variants)
@@ -59,12 +54,11 @@ main(int argc, char **argv)
     const std::size_t nVar = variants.size();
     const std::size_t perVariant = halves.size() * workloads.size();
     const std::size_t perRow = nVar * perVariant;
-    ScenarioGrid grid(baseScenario(opt));
+    ScenarioGrid grid(base);
     grid.nRH(thresholds).cells(variants).cells(halves).workloads(
         workloads);
-    Runner runner(opt.jobs);
-    const ResultTable table = runner.run(grid);
-    const auto norms = table.normalizedValues();
+    const ResultTable table = runGrid(opt, grid, argv[0]);
+    const auto norms = seedMeans(opt, table);
 
     for (std::size_t t = 0; t < thresholds.size(); ++t) {
         std::printf("%-8d", thresholds[t]);

@@ -20,17 +20,16 @@ main(int argc, char **argv)
     printHeader("Figure 14: BlockHammer comparison (benign)",
                 makeConfig(opt));
 
-    const auto variants = filterCells(opt,
-                                      {
-                                          {"", "blockhammer", "", {}},
-                                          {"", "dapper-h", "", {}},
-                                          {"", "dapper-h-drfmsb", "", {}},
-                                      },
-                                      argv[0], CellFilterSpec::pinAttack("none"));
+    const Scenario base = baseScenario(opt).baseline(Baseline::NoAttack);
+    std::vector<ScenarioCell> variants = {
+        {"", "blockhammer", "", {}},
+        {"", "dapper-h", "", {}},
+        {"", "dapper-h-drfmsb", "", {}},
+    };
+    filterCells(opt, base, argv[0], variants);
     const std::vector<int> thresholds = {125, 250, 500, 1000, 2000, 4000};
     const auto workloads =
-        opt.full ? population(opt) : std::vector<std::string>{
-                                         "429.mcf", "510.parest", "ycsb-a"};
+        population(opt, {"429.mcf", "510.parest", "ycsb-a"});
 
     std::printf("%-8s", "NRH");
     for (const ScenarioCell &v : variants)
@@ -42,11 +41,10 @@ main(int argc, char **argv)
 
     const std::size_t nVar = variants.size();
     const std::size_t perRow = nVar * workloads.size();
-    ScenarioGrid grid(baseScenario(opt).baseline(Baseline::NoAttack));
+    ScenarioGrid grid(base);
     grid.nRH(thresholds).cells(variants).workloads(workloads);
-    Runner runner(opt.jobs);
-    const ResultTable table = runner.run(grid);
-    const auto norms = table.normalizedValues();
+    const ResultTable table = runGrid(opt, grid, argv[0]);
+    const auto norms = seedMeans(opt, table);
 
     for (std::size_t t = 0; t < thresholds.size(); ++t) {
         std::printf("%-8d", thresholds[t]);

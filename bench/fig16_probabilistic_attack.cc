@@ -21,21 +21,19 @@ main(int argc, char **argv)
     printHeader("Figure 16: probabilistic mitigations under Perf-Attack",
                 makeConfig(opt));
 
-    const auto variants = filterCells(opt,
-                                      {
-                                          {"", "para", "", {}},
-                                          {"", "para-drfmsb", "", {}},
-                                          {"", "pride", "", {}},
-                                          {"", "pride-rfmsb", "", {}},
-                                          {"", "dapper-h", "", {}},
-                                          {"", "dapper-h-drfmsb", "", {}},
-                                      },
-                                      argv[0],
-                                      CellFilterSpec::pinAttack("refresh"));
+    const Scenario base = baseScenario(opt).attack("refresh").baseline(
+        Baseline::SameAttack);
+    std::vector<ScenarioCell> variants = {
+        {"", "para", "", {}},
+        {"", "para-drfmsb", "", {}},
+        {"", "pride", "", {}},
+        {"", "pride-rfmsb", "", {}},
+        {"", "dapper-h", "", {}},
+        {"", "dapper-h-drfmsb", "", {}},
+    };
+    filterCells(opt, base, argv[0], variants);
     const std::vector<int> thresholds = {125, 250, 500, 1000, 2000, 4000};
-    const auto workloads =
-        opt.full ? population(opt) : std::vector<std::string>{
-                                         "429.mcf", "ycsb-a"};
+    const auto workloads = population(opt, {"429.mcf", "ycsb-a"});
 
     std::printf("%-8s", "NRH");
     for (const ScenarioCell &v : variants)
@@ -47,13 +45,10 @@ main(int argc, char **argv)
 
     const std::size_t nVar = variants.size();
     const std::size_t perRow = nVar * workloads.size();
-    ScenarioGrid grid(baseScenario(opt)
-                          .attack("refresh")
-                          .baseline(Baseline::SameAttack));
+    ScenarioGrid grid(base);
     grid.nRH(thresholds).cells(variants).workloads(workloads);
-    Runner runner(opt.jobs);
-    const ResultTable table = runner.run(grid);
-    const auto norms = table.normalizedValues();
+    const ResultTable table = runGrid(opt, grid, argv[0]);
+    const auto norms = seedMeans(opt, table);
 
     for (std::size_t t = 0; t < thresholds.size(); ++t) {
         std::printf("%-8d", thresholds[t]);

@@ -21,28 +21,23 @@ main(int argc, char **argv)
     printHeader("Figure 17: PRAC comparison", makeConfig(opt));
 
     const std::vector<int> thresholds = {125, 250, 500, 1000, 2000, 4000};
-    const auto workloads =
-        opt.full ? population(opt) : std::vector<std::string>{
-                                         "429.mcf", "ycsb-a"};
+    const auto workloads = population(opt, {"429.mcf", "ycsb-a"});
 
     std::printf("%-8s %12s %12s %14s %14s\n", "NRH", "PRAC",
                 "PRAC-Perf", "DAPPER-H", "DAPPER-H-Refr");
-    const auto cells = filterCells(
-        opt,
-        {
-            {"prac-benign", "prac", "none", Baseline::NoAttack},
-            {"prac-refresh", "prac", "refresh", Baseline::SameAttack},
-            {"dapper-h-benign", "dapper-h", "none", Baseline::NoAttack},
-            {"dapper-h-refresh", "dapper-h", "refresh",
-             Baseline::SameAttack},
-        },
-        argv[0]);
+    const Scenario base = baseScenario(opt);
+    std::vector<ScenarioCell> cells = {
+        {"prac-benign", "prac", "none", Baseline::NoAttack},
+        {"prac-refresh", "prac", "refresh", Baseline::SameAttack},
+        {"dapper-h-benign", "dapper-h", "none", Baseline::NoAttack},
+        {"dapper-h-refresh", "dapper-h", "refresh", Baseline::SameAttack},
+    };
+    filterCells(opt, base, argv[0], cells);
     const std::size_t perRow = cells.size() * workloads.size();
-    ScenarioGrid grid(baseScenario(opt));
+    ScenarioGrid grid(base);
     grid.nRH(thresholds).cells(cells).workloads(workloads);
-    Runner runner(opt.jobs);
-    const ResultTable table = runner.run(grid);
-    const auto norms = table.normalizedValues();
+    const ResultTable table = runGrid(opt, grid, argv[0]);
+    const auto norms = seedMeans(opt, table);
 
     for (std::size_t t = 0; t < thresholds.size(); ++t) {
         std::printf("%-8d", thresholds[t]);

@@ -20,19 +20,20 @@ main(int argc, char **argv)
     using namespace dapper;
     using namespace dapper::benchutil;
 
-    const Options opt = parse(argc, argv);
+    // The mixes are this bench's own population: --workload replaces
+    // them, and --full (the 57 synthetic workloads) does not apply.
+    const Options opt = parse(argc, argv, kGridBench & ~kFullFlag);
     printHeader("Multi-program trace mixes under attack",
                 makeConfig(opt));
 
-    const auto columns = filterCells(
-        opt,
-        {
-            {"CacheThrash", "none", "cache-thrash", {}},
-            {"Streaming", "none", "streaming", {}},
-            {"Hydra", "hydra", "hydra-rcc", {}},
-            {"DAPPER-H", "dapper-h", "streaming", {}},
-        },
-        argv[0]);
+    const Scenario base = baseScenario(opt).baseline(Baseline::NoAttack);
+    std::vector<ScenarioCell> columns = {
+        {"CacheThrash", "none", "cache-thrash", {}},
+        {"Streaming", "none", "streaming", {}},
+        {"Hydra", "hydra", "hydra-rcc", {}},
+        {"DAPPER-H", "dapper-h", "streaming", {}},
+    };
+    filterCells(opt, base, argv[0], columns);
 
     std::vector<std::vector<std::string>> mixes;
     if (!opt.workloadFilter.empty()) {
@@ -47,9 +48,8 @@ main(int argc, char **argv)
         };
     }
 
-    ScenarioGrid grid(baseScenario(opt).baseline(Baseline::NoAttack));
+    ScenarioGrid grid(base);
     grid.workloadSets(mixes).cells(columns);
-    applySeeds(opt, grid);
     const ResultTable table = runGrid(opt, grid, argv[0]);
     const auto sums =
         table.seedSummaries(static_cast<std::size_t>(opt.seeds));

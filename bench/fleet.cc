@@ -49,7 +49,6 @@ main(int argc, char **argv)
 
     ScenarioGrid grid(baseScenario(opt).baseline(Baseline::NoAttack));
     grid.trackers(trackers).attacks(attacks).workloads(workloads);
-    applySeeds(opt, grid);
 
     // runGrid prints the fleet progress report and exits 3 unless every
     // cell is accounted for, so the table holds every grid row here

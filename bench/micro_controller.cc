@@ -86,9 +86,8 @@ main(int argc, char **argv)
 {
     using namespace dapper::benchutil;
 
-    const Options opt = parse(argc, argv);
-    // Drives a bare MemController: no trackers or attack streams here.
-    rejectFilters(opt, argv[0]);
+    // Drives a bare MemController: only the config flags apply.
+    const Options opt = parse(argc, argv, kComponentBench);
     const SysConfig cfg = makeConfig(opt);
     printHeader("Controller micro: queue-depth sweep (issue-scan cost)",
                 cfg);

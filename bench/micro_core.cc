@@ -85,10 +85,9 @@ main(int argc, char **argv)
 {
     using namespace dapper::benchutil;
 
-    const Options opt = parse(argc, argv);
-    // Bare cores + LLC + controllers: no tracker, no attack stream, so
-    // the registry filters have nothing to select.
-    rejectFilters(opt, argv[0]);
+    // Bare cores + LLC + controllers on three fixed workloads, timed
+    // with --repeat: no grid, so only the config flags apply.
+    const Options opt = parse(argc, argv, kComponentBench | kRepeatFlag);
     const SysConfig cfg = makeConfig(opt);
     printHeader("Core micro: batched vs per-instruction retirement", cfg);
 

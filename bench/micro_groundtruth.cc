@@ -116,9 +116,8 @@ main(int argc, char **argv)
 {
     using namespace dapper::benchutil;
 
-    const Options opt = parse(argc, argv);
-    // Drives the bare GroundTruth model: no trackers or attack streams.
-    rejectFilters(opt, argv[0]);
+    // Drives the bare GroundTruth model: only the config flags apply.
+    const Options opt = parse(argc, argv, kComponentBench);
     const SysConfig cfg = makeConfig(opt);
     printHeader("GroundTruth micro: damage-checker event replay", cfg);
 

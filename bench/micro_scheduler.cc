@@ -21,7 +21,8 @@ main(int argc, char **argv)
     using namespace dapper;
     using namespace dapper::benchutil;
 
-    const Options opt = parse(argc, argv);
+    // The table prints raw per-run fields, so --seeds cannot apply.
+    const Options opt = parse(argc, argv, kGridBench & ~kSeedsFlag);
     printHeader("Scheduler bench: mitigation-blocking configurations",
                 makeConfig(opt));
 
@@ -45,7 +46,7 @@ main(int argc, char **argv)
         {"hydra-rcc-500", "hydra", "hydra-rcc", 500},
         {"start-stream-500", "start", "start-stream", 500},
     };
-    const std::string workload = "429.mcf";
+    const auto workloads = population(opt, {"429.mcf"});
 
     // --tracker / --attack restrict the cell list directly (the cells
     // pair trackers with their stressing attacks and thresholds).
@@ -64,16 +65,21 @@ main(int argc, char **argv)
         axis.emplace_back(cell.label, [cell](Scenario &s) {
             s.tracker(cell.tracker).attack(cell.attack).nRH(cell.nRH);
         });
-    ScenarioGrid grid(baseScenario(opt).workload(workload));
+    ScenarioGrid grid = workloadGrid(baseScenario(opt), workloads);
     grid.axis(std::move(axis));
-    Runner runner(opt.jobs);
-    const ResultTable table = runner.run(grid);
+    const ResultTable table = runGrid(opt, grid, argv[0]);
 
-    std::printf("%-18s %10s %12s %12s %8s\n", "Config", "IPC",
+    // Rows are labelled "workload/cell" when --full crosses workloads.
+    int width = 18;
+    for (const ScenarioResult &row : table.rows())
+        width = std::max(width,
+                         static_cast<int>(row.scenario.labelText().size()));
+    std::printf("%-*s %10s %12s %12s %8s\n", width, "Config", "IPC",
                 "Activations", "Mitigations", "RHviol");
-    for (std::size_t i = 0; i < cells.size(); ++i) {
-        const RunResult &r = table.at(i).run;
-        std::printf("%-18s %10.4f %12llu %12llu %8llu\n", cells[i].label,
+    for (const ScenarioResult &row : table.rows()) {
+        const RunResult &r = row.run;
+        std::printf("%-*s %10.4f %12llu %12llu %8llu\n", width,
+                    row.scenario.labelText().c_str(),
                     r.benignIpcMean,
                     static_cast<unsigned long long>(r.activations),
                     static_cast<unsigned long long>(r.mitigations),

@@ -10,7 +10,8 @@
 # (BENCHMARK.json), not here.
 #
 # Usage: bench/run_all.sh [--full] [build-dir]
-#   --full           run the complete 57-workload population (nightly CI)
+#   --full           run the complete 57-workload population (nightly CI;
+#                    not fig_multiprog, whose mixes are its population)
 #   BENCH_ARGS       args for every bench  (default: --windows 1 --scale 64)
 #   OUT_DIR          where the JSON files land (default: repo root)
 
@@ -18,10 +19,11 @@ set -euo pipefail
 
 REPO_ROOT="$(cd "$(dirname "$0")/.." && pwd)"
 BENCH_ARGS="${BENCH_ARGS:---windows 1 --scale 64}"
+FULL=""
 BUILD_DIR=""
 for arg in "$@"; do
     case "$arg" in
-        --full) BENCH_ARGS="$BENCH_ARGS --full" ;;
+        --full) FULL="--full" ;;
         *) BUILD_DIR="$arg" ;;
     esac
 done
@@ -61,7 +63,7 @@ mkdir -p "$JSON_DIR_TMP"
 {
     echo '{'
     echo '  "generated_by": "bench/run_all.sh",'
-    echo "  \"args\": \"$BENCH_ARGS\","
+    echo "  \"args\": \"$BENCH_ARGS${FULL:+ $FULL}\","
     echo '  "benches": ['
 } > "$ALL_TMP"
 
@@ -70,9 +72,11 @@ for bench in $SIM_BENCHES; do
     bin="$BUILD_DIR/$bench"
     [ -x "$bin" ] || { echo "skipping $bench (not built)" >&2; continue; }
     bench_json="$JSON_DIR_TMP/$bench.json"
-    echo "running $bench $BENCH_ARGS" >&2
+    args="$BENCH_ARGS"
+    [ "$bench" = fig_multiprog ] || args="$args${FULL:+ $FULL}"
+    echo "running $bench $args" >&2
     # shellcheck disable=SC2086
-    "$bin" $BENCH_ARGS --json "$bench_json" > /dev/null
+    "$bin" $args --json "$bench_json" > /dev/null
     [ $first -eq 1 ] || echo ',' >> "$ALL_TMP"
     first=0
     printf '    {"name": "%s", "results":\n' "$bench" >> "$ALL_TMP"

@@ -14,13 +14,17 @@
 
 #include <cstdio>
 
+#include "bench/bench_util.hh"
 #include "src/analysis/security.hh"
 #include "src/common/config.hh"
 
 int
-main()
+main(int argc, char **argv)
 {
     using namespace dapper;
+
+    // A closed-form table at fixed parameters: it takes no flags.
+    benchutil::parse(argc, argv, 0);
 
     SysConfig cfg;
     cfg.nRH = 500;

@@ -14,12 +14,16 @@
 
 #include <cstdio>
 
+#include "bench/bench_util.hh"
 #include "src/rh/registry.hh"
 
 int
-main()
+main(int argc, char **argv)
 {
     using namespace dapper;
+
+    // A closed-form table at fixed parameters: it takes no flags.
+    benchutil::parse(argc, argv, 0);
 
     std::printf("Table III: storage overhead per 32GB DDR5 memory\n");
     std::printf("%-16s %10s %10s %14s\n", "Tracker", "SRAM(KB)", "CAM(KB)",

@@ -15,33 +15,39 @@ main(int argc, char **argv)
     using namespace dapper;
     using namespace dapper::benchutil;
 
-    const Options opt = parse(argc, argv);
-    // The table is a fixed none-vs-DAPPER-H energy ratio per attack;
-    // filtering either dimension would break the ratios.
-    rejectFilters(opt, argv[0]);
+    // The table is a fixed none-vs-DAPPER-H energy ratio per attack, so
+    // filtering either dimension would break the ratios, and it reads
+    // raw per-run energy, so --seeds cannot apply.
+    const Options opt =
+        parse(argc, argv, kGridBench & ~kFilterFlags & ~kSeedsFlag);
     printHeader("Table IV: energy overhead of DAPPER-H", makeConfig(opt));
 
     const std::vector<int> thresholds = {125, 250, 500, 1000, 2000, 4000};
-    const std::string workload = "429.mcf";
+    const auto workloads = population(opt, {"429.mcf"});
 
     std::printf("%-8s %10s %14s %14s\n", "NRH", "Benign", "Streaming",
                 "Refresh");
-    // Grid: (threshold, tracker, attack); raw runs, energy ratios below.
-    ScenarioGrid grid(baseScenario(opt).workload(workload));
+    // Grid: (workload, threshold, tracker, attack); raw runs. Each
+    // ratio compares the energy summed over the workloads.
+    ScenarioGrid grid = workloadGrid(baseScenario(opt), workloads);
     grid.nRH(thresholds)
         .trackers({"none", "dapper-h"})
         .attacks({"none", "streaming", "refresh"});
     const std::size_t perRow = 2 * 3;
-    Runner runner(opt.jobs);
-    const ResultTable table = runner.run(grid);
+    const std::size_t perWorkload = thresholds.size() * perRow;
+    const ResultTable table = runGrid(opt, grid, argv[0]);
 
     for (std::size_t t = 0; t < thresholds.size(); ++t) {
-        const std::size_t base = t * perRow;
-        const std::size_t dap = base + 3;
+        auto energy = [&](std::size_t off) {
+            double sum = 0.0;
+            for (std::size_t w = 0; w < workloads.size(); ++w)
+                sum += table.at(w * perWorkload + t * perRow + off)
+                           .run.energyNj;
+            return sum;
+        };
+        // Tracker "none" is offset 0, "dapper-h" offset 3.
         auto ratio = [&](std::size_t off) {
-            return 100.0 * (table.at(dap + off).run.energyNj /
-                                table.at(base + off).run.energyNj -
-                            1.0);
+            return 100.0 * (energy(3 + off) / energy(off) - 1.0);
         };
         std::printf("%-8d %9.2f%% %13.2f%% %13.2f%%\n", thresholds[t],
                     ratio(0), ratio(1), ratio(2));

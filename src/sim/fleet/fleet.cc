@@ -162,7 +162,8 @@ encodeFailure(const std::string &fingerprint, const std::string &label,
 struct ShardRecord
 {
     FleetRecord type = FleetRecord::Header;
-    std::uint64_t campaignId = 0; ///< Header.
+    std::uint32_t formatVersion = 0; ///< Header.
+    std::uint64_t campaignId = 0;    ///< Header.
     std::string fingerprint;      ///< Every type but Header.
     std::string label;            ///< Timeout, Crash, Quarantine.
     std::uint32_t attempts = 0;   ///< Timeout, Crash, Quarantine.
@@ -179,7 +180,7 @@ decodeShardRecord(const JournalRecord &record)
     ByteReader r(record.payload);
     switch (out.type) {
       case FleetRecord::Header:
-        r.getU32(); // Format version.
+        out.formatVersion = r.getU32();
         out.campaignId = r.getU64();
         break;
       case FleetRecord::Result:
@@ -532,6 +533,13 @@ Coordinator::scanExistingJournals()
         options_.dir, /*recover=*/true,
         [&](const std::string &path, const ShardRecord &record) {
             if (record.type == FleetRecord::Header) {
+                if (record.formatVersion != kFleetFormatVersion)
+                    throw std::runtime_error(
+                        "fleet: " + path + " has journal format version " +
+                        std::to_string(record.formatVersion) +
+                        ", this build reads version " +
+                        std::to_string(kFleetFormatVersion) +
+                        "; use a fresh directory");
                 if (record.campaignId != campaignId_)
                     throw std::runtime_error(
                         "fleet: " + path +

@@ -219,32 +219,6 @@ ResultTable::normalizedValues() const
     return out;
 }
 
-std::vector<double>
-ResultTable::statValues(const std::string &name) const
-{
-    std::vector<double> out;
-    out.reserve(rows_.size());
-    for (const ScenarioResult &row : rows_)
-        out.push_back(row.run.stats.value(name));
-    return out;
-}
-
-void
-ResultTable::merge(const ResultTable &other)
-{
-    rows_.insert(rows_.end(), other.rows_.begin(), other.rows_.end());
-}
-
-std::vector<std::string>
-ResultTable::fingerprints() const
-{
-    std::vector<std::string> out;
-    out.reserve(rows_.size());
-    for (const ScenarioResult &row : rows_)
-        out.push_back(row.scenario.fingerprint());
-    return out;
-}
-
 SeedSummary
 summarizeSeeds(const std::vector<double> &values)
 {

@@ -74,7 +74,7 @@ void writeJsonString(std::FILE *out, const std::string &s);
 /**
  * Index-ordered scenario results. Renders to machine-readable JSON /
  * CSV; the benches keep their own printf table layouts and read values
- * through normalizedValues() / at().
+ * through seedSummaries() / normalizedValues() / at().
  */
 class ResultTable
 {
@@ -88,20 +88,6 @@ class ResultTable
 
     /** normalized per row, in index order (geomeanSlice-ready). */
     std::vector<double> normalizedValues() const;
-
-    /**
-     * One exported stat as a column: stats[name] per row, in index
-     * order (u64 entries widen to double). Throws std::out_of_range
-     * when any row lacks the stat — a telemetry column is either
-     * present everywhere or a caller bug.
-     */
-    std::vector<double> statValues(const std::string &name) const;
-
-    /** Append another table's rows (multi-grid benches). */
-    void merge(const ResultTable &other);
-
-    /** Scenario fingerprints per row, in index order (campaign keys). */
-    std::vector<std::string> fingerprints() const;
 
     /**
      * Reduce consecutive groups of @p nSeeds rows (seeds as the

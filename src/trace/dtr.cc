@@ -203,7 +203,7 @@ TraceReader::parse()
     bool sawHeader = false;
     std::uint32_t headerBlocks = 0;
     std::uint64_t index = 0;
-    for (const FrameView &frame : scan.frames) {
+    auto decode = [&](const FrameView &frame) {
         ByteReader reader(frame.payload, frame.length);
         if (frame.type == static_cast<std::uint8_t>(DtrBlock::Header)) {
             if (sawHeader)
@@ -240,6 +240,18 @@ TraceReader::parse()
             throw DtrError("unknown block type " +
                            std::to_string(frame.type) + " at offset " +
                            std::to_string(frame.offset));
+        }
+    };
+    for (const FrameView &frame : scan.frames) {
+        try {
+            decode(frame);
+        } catch (const DtrError &) {
+            throw;
+        } catch (const std::runtime_error &) {
+            // ByteReader ran out: the CRC holds, the fields do not fit.
+            throw DtrError("block at offset " +
+                           std::to_string(frame.offset) +
+                           ": payload too short for its fields");
         }
     }
     // A trace is immutable: any invalid frame, a torn tail included,

@@ -456,5 +456,32 @@ TEST(Fleet, DifferentGridInSameDirectoryIsRejected)
     EXPECT_THROW(second.run(other), std::runtime_error);
 }
 
+TEST(Fleet, JournalOfAnotherFormatVersionIsRejected)
+{
+    // A Header as encodeHeader writes it, but from a future format.
+    TempDir dir;
+    const std::string journal = dir.path() + "/shard_0000.journal";
+    ByteWriter header;
+    header.putU32(99);
+    header.putU64(0);
+    header.putU32(0);
+    {
+        JournalWriter writer;
+        writer.open(journal);
+        writer.append(static_cast<std::uint8_t>(FleetRecord::Header),
+                      header.take());
+    }
+    FleetCampaign campaign(fastOptions(dir.path()));
+    try {
+        campaign.run(syntheticGrid());
+        FAIL() << "a version-99 journal was resumed";
+    } catch (const std::runtime_error &e) {
+        const std::string what = e.what();
+        EXPECT_NE(what.find(journal), std::string::npos) << what;
+        EXPECT_NE(what.find("version 99"), std::string::npos) << what;
+        EXPECT_NE(what.find("version 1"), std::string::npos) << what;
+    }
+}
+
 } // namespace
 } // namespace dapper

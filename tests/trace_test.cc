@@ -267,6 +267,28 @@ TEST(DtrRejection, UnsupportedVersionIsRejected)
     std::remove(path.c_str());
 }
 
+TEST(DtrRejection, ShortHeaderPayloadIsRejectedWithItsOffset)
+{
+    // A CRC-valid header frame that ends after its version field: the
+    // frame is intact, but the fields it must hold do not fit.
+    ByteWriter payload;
+    payload.putU32(kDtrVersion);
+    const std::string path = tempPath("short_header.dtr");
+    spit(path, encodeDtrBlock(DtrBlock::Header, payload.take()));
+    try {
+        TraceReader reader(path);
+        FAIL() << "short header accepted";
+    } catch (const DtrError &e) {
+        EXPECT_NE(std::string(e.what()).find("block at offset 0"),
+                  std::string::npos)
+            << e.what();
+        EXPECT_NE(std::string(e.what()).find("too short"),
+                  std::string::npos)
+            << e.what();
+    }
+    std::remove(path.c_str());
+}
+
 TEST(DtrRejection, JournalRecordIsRejectedByItsMagic)
 {
     // A valid header payload in a journal frame: the frame is intact,
