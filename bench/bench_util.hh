@@ -309,26 +309,38 @@ suiteSubset()
 
 /**
  * A bench's workload population, in one resolution order: exactly the
- * --workload, else all 57 with --full, else @p fallback (the bench's
- * own default list).
+ * --workload (synthetic or trace replay), else all 57 with --full, else
+ * @p fallback (the bench's own default list).
  */
 inline std::vector<std::string>
 population(const Options &opt,
            std::vector<std::string> fallback = suiteSubset())
 {
-    if (!opt.workloadFilter.empty()) {
-        // Suite-population benches group results with findWorkload()
-        // metadata (suite, rbmpki), which trace workloads don't carry.
-        if (WorkloadRegistry::instance().at(opt.workloadFilter).isTrace)
-            usage("bench",
-                  "--workload: this bench's population is synthetic-"
-                  "only; trace workloads run via trace-aware benches "
-                  "(fig_multiprog, trace_tool replay)");
+    if (!opt.workloadFilter.empty())
         return {opt.workloadFilter};
-    }
     if (opt.full)
         return workloadsInSuite("All");
     return fallback;
+}
+
+/**
+ * population() with suiteSubset() as the fallback, for the benches that
+ * label rows with findWorkload() metadata (suite, RBMPKI). Trace
+ * workloads carry none, so a trace --workload exits 2 with usage,
+ * naming @p prog.
+ */
+inline std::vector<std::string>
+suitePopulation(const Options &opt, const char *prog)
+{
+    if (!opt.workloadFilter.empty() &&
+        WorkloadRegistry::instance().at(opt.workloadFilter).isTrace)
+        usage(prog,
+              "--workload: this bench reads suite / RBMPKI metadata, "
+              "which trace workloads lack; run traces through a "
+              "geomean bench (e.g. fig14_blockhammer), fig_multiprog or "
+              "trace_tool replay",
+              kGridBench);
+    return population(opt);
 }
 
 /**

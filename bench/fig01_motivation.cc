@@ -26,7 +26,7 @@ main(int argc, char **argv)
     std::vector<ScenarioCell> columns = perfAttackColumns();
     filterCells(opt, base, argv[0], columns);
 
-    const auto workloads = population(opt);
+    const auto workloads = suitePopulation(opt, argv[0]);
     const std::size_t nCols = columns.size();
     ScenarioGrid grid(base);
     grid.workloads(workloads).cells(columns);

@@ -25,7 +25,7 @@ main(int argc, char **argv)
     std::vector<ScenarioCell> columns = perfAttackColumns();
     filterCells(opt, base, argv[0], columns);
 
-    const auto workloads = population(opt);
+    const auto workloads = suitePopulation(opt, argv[0]);
     std::printf("%-22s %7s", "Workload", "RBMPKI");
     for (const ScenarioCell &col : columns)
         std::printf(" %12s", col.label.c_str());

@@ -28,7 +28,7 @@ main(int argc, char **argv)
     };
     filterCells(opt, base, argv[0], attacks);
 
-    const auto workloads = population(opt);
+    const auto workloads = suitePopulation(opt, argv[0]);
     std::printf("%-14s", "Suite");
     for (const ScenarioCell &cell : attacks)
         std::printf(" %22s", cell.label.c_str());

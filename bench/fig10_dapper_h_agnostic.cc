@@ -29,7 +29,7 @@ main(int argc, char **argv)
     };
     filterCells(opt, base, argv[0], attacks);
 
-    const auto workloads = population(opt);
+    const auto workloads = suitePopulation(opt, argv[0]);
     std::printf("%-22s %7s", "Workload", "RBMPKI");
     for (const ScenarioCell &cell : attacks)
         std::printf(" %16s", cell.label.c_str());

@@ -17,7 +17,7 @@ main(int argc, char **argv)
     const Options opt = parse(argc, argv);
     printHeader("Figure 11: DAPPER-H benign overhead", makeConfig(opt));
 
-    const auto workloads = population(opt);
+    const auto workloads = suitePopulation(opt, argv[0]);
     std::printf("%-22s %7s %12s %12s\n", "Workload", "RBMPKI", "Norm",
                 "Overhead%");
 

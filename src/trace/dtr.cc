@@ -233,7 +233,7 @@ TraceReader::parse()
                                std::to_string(frame.offset));
             ref.records = frame.payload + (frame.length - reader.remaining());
             ref.end = frame.payload + frame.length;
-            ref.firstIndex = index;
+            ref.offset = frame.offset;
             index += ref.count;
             blocks_.push_back(ref);
         } else {
@@ -270,6 +270,45 @@ TraceReader::parse()
         throw DtrError("header claims " + std::to_string(headerBlocks) +
                        " data blocks, file holds " +
                        std::to_string(blocks_.size()));
+    indexRecords();
+}
+
+void
+TraceReader::indexRecords()
+{
+    checkpoints_.reserve(
+        static_cast<std::size_t>((recordCount_ + kDtrSeekStride - 1) /
+                                 kDtrSeekStride));
+    std::uint64_t index = 0;
+    for (std::size_t b = 0; b < blocks_.size(); ++b) {
+        const BlockRef &ref = blocks_[b];
+        auto fail = [&](const std::string &why) {
+            throw DtrError("block at offset " + std::to_string(ref.offset) +
+                           ": " + why);
+        };
+        const unsigned char *p = ref.records;
+        std::uint64_t prevAddr = ref.prevAddr;
+        for (std::uint32_t left = ref.count; left > 0; --left, ++index) {
+            if (index % kDtrSeekStride == 0)
+                checkpoints_.push_back(
+                    {p, prevAddr, static_cast<std::uint32_t>(b), left});
+            if (p == ref.end)
+                fail("payload ends after " +
+                     std::to_string(ref.count - left) + " of its " +
+                     std::to_string(ref.count) + " records");
+            try {
+                dtrGetVarint(p, ref.end);
+                prevAddr += static_cast<std::uint64_t>(
+                    dtrZigzagDecode(dtrGetVarint(p, ref.end)));
+            } catch (const DtrError &e) {
+                // e.what() is "dtr: <reason>"; keep only the reason.
+                fail(e.what() + std::strlen("dtr: "));
+            }
+        }
+        if (p != ref.end)
+            fail(std::to_string(ref.end - p) +
+                 " trailing bytes after its last record");
+    }
 }
 
 TraceReader::Cursor::Cursor(const TraceReader &reader,
@@ -280,13 +319,15 @@ TraceReader::Cursor::Cursor(const TraceReader &reader,
         throw DtrError("cannot iterate an empty trace ('" +
                        reader.path() + "')");
     startIndex %= reader.recordCount();
-    // Find the block containing startIndex (blocks are index-ordered),
-    // then scan forward inside it — block-granular random access.
-    std::size_t block = 0;
-    while (block + 1 < reader.blocks_.size() &&
-           reader.blocks_[block + 1].firstIndex <= startIndex)
-        ++block;
-    enterBlock(block);
+    // Restore the checkpoint at or before startIndex, then decode the
+    // at most kDtrSeekStride - 1 records up to it.
+    const Checkpoint &cp = reader.checkpoints_[startIndex / kDtrSeekStride];
+    block_ = cp.block;
+    pos_ = cp.pos;
+    end_ = reader.blocks_[cp.block].end;
+    leftInBlock_ = cp.leftInBlock;
+    prevAddr_ = cp.prevAddr;
+    index_ = startIndex - startIndex % kDtrSeekStride;
     while (index_ < startIndex)
         next();
 }
@@ -300,7 +341,6 @@ TraceReader::Cursor::enterBlock(std::size_t block)
     end_ = ref.end;
     leftInBlock_ = ref.count;
     prevAddr_ = ref.prevAddr;
-    index_ = ref.firstIndex;
 }
 
 TraceRecord
@@ -322,8 +362,6 @@ TraceReader::Cursor::next()
     prevAddr_ = rec.addr;
     --leftInBlock_;
     ++index_;
-    if (leftInBlock_ == 0 && pos_ != end_)
-        throw DtrError("trailing bytes in data block payload");
     if (index_ == reader_->recordCount())
         index_ = 0;
     return rec;

@@ -17,8 +17,7 @@
  *   string  name         workload name carried into telemetry
  *
  * Data payload — each block decodes independently of every other block
- * (it carries its own address predecessor), which is what lets replay
- * start at a seed-derived record offset without touching earlier blocks:
+ * (it carries its own address predecessor):
  *
  *   u64     prevAddr     address preceding the block's first record
  *                        (0 for the first block)
@@ -31,14 +30,20 @@
  * Integers are little-endian; varints are LEB128. Unlike journals —
  * which tolerate and truncate torn tails, because a crashed appender is
  * their normal failure mode — a DTR file is an immutable artifact:
- * *any* framing, checksum, version, or accounting violation makes the
- * reader throw DtrError. A trace either loads exactly or not at all.
+ * *any* framing, checksum, version, accounting, or record-encoding
+ * violation makes the reader throw DtrError. A trace either loads
+ * exactly or not at all.
  *
  * TraceWriter streams records through a bounded block buffer (single
  * pass; the header is patched in place on close, which is why its
  * payload length never changes). TraceReader maps the whole file with
- * mmap, validates every frame eagerly at open, and decodes records
- * lazily, in place, via Cursor — zero copies of the record stream.
+ * mmap and validates it eagerly at open: every frame, then every
+ * record — each data block must hold exactly `count` records ending
+ * exactly at its payload end. That same pass stores a checkpoint
+ * before every kDtrSeekStride-th record, so a Cursor seeks by
+ * restoring one checkpoint and decoding at most kDtrSeekStride - 1
+ * records. Cursors then decode lazily, in place — zero copies of the
+ * record stream.
  */
 
 #ifndef DAPPER_TRACE_DTR_HH
@@ -63,12 +68,17 @@ enum class DtrBlock : std::uint8_t
     Data = 2,
 };
 
-/** Records per data block (~a few KB encoded); also the granularity of
- *  random-access seeks. Writer-configurable, reader-agnostic. */
+/** Records per data block (~a few KB encoded). Writer-configurable,
+ *  reader-agnostic; seeks do not depend on it (kDtrSeekStride). */
 constexpr std::uint32_t kDtrDefaultBlockRecords = 4096;
 
+/** Records between two of the reader's seek checkpoints: opening a
+ *  Cursor decodes at most kDtrSeekStride - 1 records. */
+constexpr std::uint32_t kDtrSeekStride = 64;
+
 /** Any malformed-trace condition: bad magic/CRC/version, torn tail,
- *  truncated frame, accounting mismatch, or payload decode overrun. */
+ *  truncated frame, accounting mismatch, or record bytes that do not
+ *  fill their block exactly. */
 class DtrError : public std::runtime_error
 {
   public:
@@ -161,8 +171,9 @@ class TraceWriter
 class TraceReader
 {
   public:
-    /** mmap @p path and validate every frame eagerly; throws DtrError
-     *  on any malformation, std::runtime_error on I/O failure. */
+    /** mmap @p path and validate every frame and record eagerly;
+     *  throws DtrError on any malformation, std::runtime_error on I/O
+     *  failure. */
     explicit TraceReader(const std::string &path);
     ~TraceReader();
 
@@ -178,10 +189,11 @@ class TraceReader
 
     /**
      * Zero-copy sequential decoder over the mapped file, positioned at
-     * an arbitrary record index (block-granular seek + in-block scan).
-     * next() past the last record wraps to record 0 — replay treats the
-     * trace as an infinite loop. The cursor borrows the reader: keep
-     * the TraceReader alive for the cursor's lifetime.
+     * an arbitrary record index (restore the checkpoint at or before
+     * it, then decode at most kDtrSeekStride - 1 records). next() past
+     * the last record wraps to record 0 — replay treats the trace as an
+     * infinite loop. The cursor borrows the reader: keep the
+     * TraceReader alive for the cursor's lifetime.
      */
     class Cursor
     {
@@ -213,10 +225,23 @@ class TraceReader
         const unsigned char *end;     ///< One past the payload.
         std::uint64_t prevAddr;
         std::uint32_t count;
-        std::uint64_t firstIndex;     ///< Global index of record 0.
+        std::size_t offset;           ///< File offset of the frame.
+    };
+
+    /** Cursor state before record k * kDtrSeekStride (24 B). */
+    struct Checkpoint
+    {
+        const unsigned char *pos;   ///< The record's first byte.
+        std::uint64_t prevAddr;     ///< Address before the record.
+        std::uint32_t block;        ///< Index into blocks_.
+        std::uint32_t leftInBlock;  ///< Records from it to block end.
     };
 
     void parse();
+    /** Decode every record once: throw unless each block holds exactly
+     *  `count` records ending at its payload end, and fill
+     *  checkpoints_. */
+    void indexRecords();
 
     std::string path_;
     const unsigned char *data_ = nullptr;
@@ -226,6 +251,7 @@ class TraceReader
     std::uint64_t baseSeed_ = 0;
     std::uint64_t recordCount_ = 0;
     std::vector<BlockRef> blocks_;
+    std::vector<Checkpoint> checkpoints_;
 };
 
 } // namespace dapper

@@ -1,10 +1,11 @@
 /**
  * @file
  * The bench command-line contract (bench/bench_util.hh): population()'s
- * resolution order, --tracker / --attack filtering against a bench's
- * base scenario and crossed cell lists, runGrid's innermost --seeds
- * axis with the seedMeans() reduction, and parse()'s rule that a flag a
- * binary cannot honour exits 2 instead of being ignored.
+ * resolution order and suitePopulation()'s trace rejection, --tracker /
+ * --attack filtering against a bench's base scenario and crossed cell
+ * lists, runGrid's innermost --seeds axis with the seedMeans()
+ * reduction, and parse()'s rule that a flag a binary cannot honour
+ * exits 2 instead of being ignored.
  */
 
 #include <gtest/gtest.h>
@@ -58,6 +59,33 @@ TEST(BenchPopulation, WorkloadBeatsFullBeatsFallback)
     opt.full = false;
     EXPECT_EQ(population(opt, fallback),
               std::vector<std::string>{"456.hmmer"});
+}
+
+TEST(BenchPopulation, GeomeanBenchesRunATraceWorkload)
+{
+    // Benches that only geomean their cells take a trace --workload
+    // like a synthetic one.
+    Options opt;
+    opt.workloadFilter = "trace-gc";
+    EXPECT_EQ(population(opt, {"429.mcf"}),
+              std::vector<std::string>{"trace-gc"});
+    EXPECT_EQ(population(opt), std::vector<std::string>{"trace-gc"});
+}
+
+TEST(BenchPopulation, MetadataBenchesRejectATraceNamingTheirBinary)
+{
+    Options opt;
+    EXPECT_EQ(suitePopulation(opt, "fig03_perf_attacks"), suiteSubset());
+    opt.workloadFilter = "456.hmmer";
+    EXPECT_EQ(suitePopulation(opt, "fig03_perf_attacks"),
+              std::vector<std::string>{"456.hmmer"});
+    // Suite and RBMPKI rows need findWorkload() metadata, which a
+    // trace lacks: the bench exits 2 under its own name.
+    opt.workloadFilter = "trace-gc";
+    EXPECT_EXIT(suitePopulation(opt, "build/fig03_perf_attacks"),
+                ExitedWithCode(2),
+                "build/fig03_perf_attacks: --workload: this bench reads "
+                "suite / RBMPKI metadata");
 }
 
 TEST(BenchFilterCells, PinnedTrackerPassesOnlyItsOwnName)

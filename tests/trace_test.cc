@@ -15,6 +15,7 @@
 #include <cstring>
 #include <fstream>
 #include <string>
+#include <utility>
 #include <vector>
 
 #include "src/common/journal.hh"
@@ -165,20 +166,44 @@ TEST(DtrRoundTrip, EveryFieldOfEveryRecordSurvives)
 
 TEST(DtrRoundTrip, CursorSeeksToAnyIndexAndWraps)
 {
+    // Block sizes around the 64-record seek stride: checkpoints fall at
+    // block starts, mid-block, and one record either side of a block
+    // boundary.
     const auto recs = sampleRecords(300);
-    const std::string path =
-        writeSample(tempPath("seek.dtr"), recs, 0, 32);
-    TraceReader reader(path);
-    for (const std::uint64_t start : {0ull, 1ull, 31ull, 32ull, 33ull,
-                                      299ull, 300ull, 451ull}) {
-        TraceReader::Cursor cursor(reader, start);
-        for (std::size_t k = 0; k < 40; ++k) {
-            const std::size_t want = (start + k) % recs.size();
-            EXPECT_EQ(cursor.next().addr, recs[want].addr)
-                << "start " << start << " step " << k;
+    for (const std::uint32_t perBlock : {1u, 63u, 64u, 65u, 100u}) {
+        const std::string path = writeSample(
+            tempPath("seek_" + std::to_string(perBlock) + ".dtr"), recs, 0,
+            perBlock);
+        TraceReader reader(path);
+        // The reference stream: one cursor from record 0, stepped one
+        // record at a time through the wrap.
+        std::vector<TraceRecord> stream;
+        TraceReader::Cursor walker(reader);
+        for (std::size_t i = 0; i < recs.size() + 200; ++i) {
+            stream.push_back(walker.next());
+            ASSERT_EQ(stream.back().addr, recs[i % recs.size()].addr)
+                << "perBlock " << perBlock << " record " << i;
         }
+        std::vector<std::uint64_t> starts;
+        for (std::uint64_t i = 0; i < recs.size(); ++i)
+            starts.push_back(i);
+        starts.push_back(recs.size() + 157); // Wraps past the end.
+        for (const std::uint64_t start : starts) {
+            TraceReader::Cursor cursor(reader, start);
+            EXPECT_EQ(cursor.index(), start % recs.size());
+            for (std::size_t k = 0; k < 200; ++k) {
+                const TraceRecord want = stream[start % recs.size() + k];
+                const TraceRecord got = cursor.next();
+                ASSERT_TRUE(got.addr == want.addr &&
+                            got.bubbles == want.bubbles &&
+                            got.isWrite == want.isWrite &&
+                            got.bypassLlc == want.bypassLlc)
+                    << "perBlock " << perBlock << " start " << start
+                    << " step " << k;
+            }
+        }
+        std::remove(path.c_str());
     }
-    std::remove(path.c_str());
 }
 
 TEST(DtrRoundTrip, EmptyTraceLoadsButCannotIterate)
@@ -329,6 +354,60 @@ TEST(DtrRejection, HeaderAccountingMismatchIsRejected)
     const std::string path = tempPath("accounting.dtr");
     spit(path, encodeDtrBlock(DtrBlock::Header, payload.take()));
     EXPECT_THROW(TraceReader reader(path), DtrError);
+    std::remove(path.c_str());
+}
+
+TEST(DtrRejection, RecordBytesMustFillTheirBlockExactly)
+{
+    // CRC-valid traces whose header and block accounting agree, but
+    // whose record bytes do not decode to exactly `count` records
+    // ending at the payload end. Each must fail at open, not at the
+    // replay step that reaches the bad record.
+    auto trace = [](std::uint32_t count, const std::string &records) {
+        ByteWriter header;
+        header.putU32(kDtrVersion);
+        header.putU64(0);
+        header.putU64(count);
+        header.putU32(1);
+        header.putString("bad-records");
+        ByteWriter data;
+        data.putU64(0);
+        data.putU32(count);
+        return encodeDtrBlock(DtrBlock::Header, header.take()) +
+               encodeDtrBlock(DtrBlock::Data, data.take() + records);
+    };
+    std::string threeRecords;
+    for (int i = 0; i < 3; ++i) {
+        dtrPutVarint(threeRecords, 4);                   // 1 bubble.
+        dtrPutVarint(threeRecords, dtrZigzagEncode(64)); // +64 B.
+    }
+    // meta = an 11-byte varint (70 payload bits), then a zero delta.
+    const std::string tooWide = std::string(10, '\xFF') + '\x01' + '\0';
+    const std::pair<const char *, std::string> cases[] = {
+        {"count_high", trace(5, threeRecords)},
+        {"trailing", trace(3, threeRecords + '\0')},
+        {"wide_varint", trace(1, tooWide)},
+    };
+    for (const auto &[name, bytes] : cases) {
+        const std::string path = tempPath(std::string("records_") + name);
+        spit(path, bytes);
+        try {
+            TraceReader reader(path);
+            ADD_FAILURE() << name << ": malformed records accepted at open";
+        } catch (const DtrError &e) {
+            EXPECT_NE(std::string(e.what()).find("block at offset"),
+                      std::string::npos)
+                << name << ": " << e.what();
+        }
+        std::remove(path.c_str());
+    }
+    // The same framing with well-formed records opens and replays.
+    const std::string path = tempPath("records_ok");
+    spit(path, trace(3, threeRecords));
+    TraceReader reader(path);
+    TraceReader::Cursor cursor(reader);
+    for (std::uint64_t addr : {64u, 128u, 192u, 64u})
+        EXPECT_EQ(cursor.next().addr, addr);
     std::remove(path.c_str());
 }
 
