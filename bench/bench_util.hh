@@ -22,12 +22,14 @@
 #define DAPPER_BENCH_BENCH_UTIL_HH
 
 #include <algorithm>
-#include <chrono>
+#include <climits>
+#include <cmath>
 #include <concepts>
 #include <cstdio>
 #include <cstdlib>
 #include <cstring>
 #include <map>
+#include <stdexcept>
 #include <string>
 #include <vector>
 
@@ -51,7 +53,6 @@ struct Options
     double timeScale = 16.0;
     int windows = 2;         ///< Simulated (scaled) tREFW windows.
     int jobs = 0;            ///< Sweep worker threads (0: auto).
-    int repeat = 1;          ///< Timing repetitions (median-of-N).
     std::string trackerFilter; ///< Registry name: keep matching cells.
     std::string attackFilter;  ///< Registry name: keep matching cells.
     /// WorkloadRegistry name (--workload): restrict the population to
@@ -72,7 +73,7 @@ struct Options
 /** Flag groups a bench binary can honour (parse()'s @p accepted). */
 enum FlagGroup : unsigned
 {
-    kConfigFlags = 1u << 0,  ///< --nrh --scale --windows
+    kConfigFlags = 1u << 0,  ///< --scale --windows
     kFullFlag = 1u << 1,     ///< --full
     kWorkloadFlag = 1u << 2, ///< --workload
     kFilterFlags = 1u << 3,  ///< --tracker --attack
@@ -80,15 +81,14 @@ enum FlagGroup : unsigned
     /// runGrid's executor options and finish()'s renderings.
     kGridFlags = 1u << 4,
     kSeedsFlag = 1u << 5,    ///< --seeds
-    kRepeatFlag = 1u << 6,   ///< --repeat
+    /// --nrh: a bench that sweeps N_RH itself (grid.nRH) rejects it.
+    kNrhFlag = 1u << 6,
 };
 
 /// A bench whose table comes from runGrid (parse()'s default).
-constexpr unsigned kGridBench = kConfigFlags | kFullFlag | kWorkloadFlag |
-                                kFilterFlags | kGridFlags | kSeedsFlag;
-/// A bench that drives one bare component, with no grid or workload.
-constexpr unsigned kComponentBench = kConfigFlags;
-constexpr unsigned kAllFlags = kGridBench | kRepeatFlag;
+constexpr unsigned kGridBench = kConfigFlags | kNrhFlag | kFullFlag |
+                                kWorkloadFlag | kFilterFlags | kGridFlags |
+                                kSeedsFlag;
 
 /** --help text of one flag group's flags. */
 struct FlagHelp
@@ -100,17 +100,14 @@ struct FlagHelp
 inline constexpr FlagHelp kFlagHelp[] = {
     {kFullFlag, "  --full           run all 57 workloads (default: the "
                 "bench's own list)\n"},
-    {kConfigFlags, "  --nrh N          RowHammer threshold (>= 1, "
-                   "default 500)\n"
-                   "  --scale X        window time-compression factor "
-                   "(> 0, default 16)\n"
+    {kNrhFlag, "  --nrh N          RowHammer threshold (>= 4, default "
+               "500)\n"},
+    {kConfigFlags, "  --scale X        window time-compression factor "
+                   "(>= 1, default 16)\n"
                    "  --windows N      simulated (scaled) tREFW windows "
                    "(>= 1, default 2)\n"},
     {kGridFlags, "  --jobs N         sweep worker threads (>= 1, "
                  "default: DAPPER_JOBS or hardware)\n"},
-    {kRepeatFlag, "  --repeat N       timing repetitions: median of N "
-                  "runs, each asserted\n"
-                  "                   identical to the first\n"},
     {kFilterFlags, "  --tracker NAME   restrict the tracker table cells "
                    "to one tracker\n"
                    "  --attack NAME    restrict the attack table cells "
@@ -145,7 +142,7 @@ inline constexpr FlagHelp kFlagHelp[] = {
 /** Print @p error (if any) and the usage of the @p accepted flag
  *  groups, then exit with @p exitCode. */
 [[noreturn]] inline void
-usage(const char *prog, const char *error, unsigned accepted = kAllFlags,
+usage(const char *prog, const char *error, unsigned accepted = kGridBench,
       int exitCode = 2)
 {
     if (error != nullptr)
@@ -173,9 +170,21 @@ usage(const char *prog, const char *error, unsigned accepted = kAllFlags,
     std::exit(exitCode);
 }
 
+inline SysConfig
+makeConfig(const Options &opt)
+{
+    SysConfig cfg;
+    cfg.nRH = opt.nRH;
+    cfg.timeScale = opt.timeScale;
+    return cfg;
+}
+
 /**
  * Parse a bench's command line. A flag outside the @p accepted groups
  * is a usage error (exit 2), so no binary takes a flag it would ignore.
+ * So is a numeric value with trailing characters, and a --nrh / --scale
+ * that SysConfig::validate rejects: every such input exits 2 with usage
+ * before any simulation starts.
  */
 inline Options
 parse(int argc, char **argv, unsigned accepted = kGridBench)
@@ -200,28 +209,35 @@ parse(int argc, char **argv, unsigned accepted = kGridBench)
                 fail(std::string("missing value for ") + arg);
             return argv[++i];
         };
+        // The next argument, whole, as an int >= 1 (--nrh's tighter
+        // bound is validate's, below).
+        auto intValue = [&]() {
+            const char *text = value();
+            char *end = nullptr;
+            const long v = std::strtol(text, &end, 10);
+            if (end == text || *end != '\0' || v < 1 || v > INT_MAX)
+                fail(std::string(arg) + ": not an integer >= 1: " + text);
+            return static_cast<int>(v);
+        };
+        // The next argument, whole, as a finite double.
+        auto realValue = [&]() {
+            const char *text = value();
+            char *end = nullptr;
+            const double v = std::strtod(text, &end);
+            if (end == text || *end != '\0' || !std::isfinite(v))
+                fail(std::string(arg) + ": not a finite number: " + text);
+            return v;
+        };
         if (is("--full", kFullFlag)) {
             opt.full = true;
-        } else if (is("--nrh", kConfigFlags)) {
-            opt.nRH = std::atoi(value());
-            if (opt.nRH < 1)
-                fail("--nrh must be >= 1");
+        } else if (is("--nrh", kNrhFlag)) {
+            opt.nRH = intValue();
         } else if (is("--scale", kConfigFlags)) {
-            opt.timeScale = std::atof(value());
-            if (opt.timeScale <= 0.0)
-                fail("--scale must be > 0");
+            opt.timeScale = realValue();
         } else if (is("--windows", kConfigFlags)) {
-            opt.windows = std::atoi(value());
-            if (opt.windows < 1)
-                fail("--windows must be >= 1");
+            opt.windows = intValue();
         } else if (is("--jobs", kGridFlags)) {
-            opt.jobs = std::atoi(value());
-            if (opt.jobs < 1)
-                fail("--jobs must be >= 1");
-        } else if (is("--repeat", kRepeatFlag)) {
-            opt.repeat = std::atoi(value());
-            if (opt.repeat < 1)
-                fail("--repeat must be >= 1");
+            opt.jobs = intValue();
         } else if (is("--tracker", kFilterFlags)) {
             opt.trackerFilter = value();
             if (TrackerRegistry::instance().find(opt.trackerFilter) ==
@@ -244,21 +260,15 @@ parse(int argc, char **argv, unsigned accepted = kGridBench)
         } else if (is("--fleet", kGridFlags)) {
             opt.fleetDir = value();
         } else if (is("--shards", kGridFlags)) {
-            opt.shards = std::atoi(value());
-            if (opt.shards < 1)
-                fail("--shards must be >= 1");
+            opt.shards = intValue();
         } else if (is("--watchdog", kGridFlags)) {
-            opt.watchdogSec = std::atof(value());
+            opt.watchdogSec = realValue();
             if (opt.watchdogSec <= 0.0)
                 fail("--watchdog must be > 0");
         } else if (is("--max-attempts", kGridFlags)) {
-            opt.maxAttempts = std::atoi(value());
-            if (opt.maxAttempts < 1)
-                fail("--max-attempts must be >= 1");
+            opt.maxAttempts = intValue();
         } else if (is("--seeds", kSeedsFlag)) {
-            opt.seeds = std::atoi(value());
-            if (opt.seeds < 1)
-                fail("--seeds must be >= 1");
+            opt.seeds = intValue();
         } else if (std::strcmp(arg, "--help") == 0 ||
                    std::strcmp(arg, "-h") == 0) {
             usage(prog, nullptr, accepted, 0);
@@ -266,16 +276,15 @@ parse(int argc, char **argv, unsigned accepted = kGridBench)
             fail(std::string("unknown flag ") + arg);
         }
     }
+    // The simulator's own bounds on --nrh and --scale (nRH >= 4,
+    // timeScale >= 1), checked here so a bad value is a usage error
+    // rather than an exception out of the first System.
+    try {
+        makeConfig(opt).validate();
+    } catch (const std::invalid_argument &e) {
+        fail(std::string("--nrh / --scale: ") + e.what());
+    }
     return opt;
-}
-
-inline SysConfig
-makeConfig(const Options &opt)
-{
-    SysConfig cfg;
-    cfg.nRH = opt.nRH;
-    cfg.timeScale = opt.timeScale;
-    return cfg;
 }
 
 /** Scenario seeded with the command-line config and horizon — the base
@@ -484,43 +493,6 @@ seedMeans(const Options &opt, const ResultTable &table)
          table.seedSummaries(static_cast<std::size_t>(opt.seeds)))
         out.push_back(s.mean);
     return out;
-}
-
-/**
- * Median-of-N timing: run @p body opt.repeat times, print each rep's
- * wall-clock to stderr (stdout stays deterministic, so two builds'
- * outputs can be diffed), and return the median seconds. @p body must
- * be deterministic; benches using this assert that every repetition
- * reproduces the first rep's results. Honest-comparison rule: when
- * comparing two builds, interleave their runs in one session on one
- * machine (A B A B ...), never across days or hosts (see
- * scripts/profile.sh).
- */
-template <typename Body>
-inline double
-timedMedian(int repeat, Body &&body)
-{
-    std::vector<double> secs;
-    secs.reserve(static_cast<std::size_t>(repeat));
-    for (int rep = 0; rep < repeat; ++rep) {
-        const auto t0 = std::chrono::steady_clock::now();
-        body(rep);
-        const auto t1 = std::chrono::steady_clock::now();
-        const double s =
-            std::chrono::duration<double>(t1 - t0).count();
-        secs.push_back(s);
-        if (repeat > 1)
-            std::fprintf(stderr, "  rep %d/%d: %.3fs\n", rep + 1, repeat,
-                         s);
-    }
-    std::sort(secs.begin(), secs.end());
-    return secs[secs.size() / 2];
-}
-
-inline Tick
-horizonOf(const SysConfig &cfg, const Options &opt)
-{
-    return static_cast<Tick>(opt.windows) * cfg.tREFW();
 }
 
 /**

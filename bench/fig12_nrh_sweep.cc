@@ -15,7 +15,8 @@ main(int argc, char **argv)
     using namespace dapper;
     using namespace dapper::benchutil;
 
-    const Options opt = parse(argc, argv);
+    // The grid sweeps N_RH itself, so --nrh cannot apply.
+    const Options opt = parse(argc, argv, kGridBench & ~kNrhFlag);
     printHeader("Figure 12: DAPPER-H vs N_RH (benign / streaming / "
                 "refresh)",
                 makeConfig(opt));

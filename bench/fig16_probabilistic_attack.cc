@@ -17,7 +17,8 @@ main(int argc, char **argv)
     using namespace dapper;
     using namespace dapper::benchutil;
 
-    const Options opt = parse(argc, argv);
+    // The grid sweeps N_RH itself, so --nrh cannot apply.
+    const Options opt = parse(argc, argv, kGridBench & ~kNrhFlag);
     printHeader("Figure 16: probabilistic mitigations under Perf-Attack",
                 makeConfig(opt));
 

@@ -17,7 +17,8 @@ main(int argc, char **argv)
     using namespace dapper;
     using namespace dapper::benchutil;
 
-    const Options opt = parse(argc, argv);
+    // The grid sweeps N_RH itself, so --nrh cannot apply.
+    const Options opt = parse(argc, argv, kGridBench & ~kNrhFlag);
     printHeader("Figure 17: PRAC comparison", makeConfig(opt));
 
     const std::vector<int> thresholds = {125, 250, 500, 1000, 2000, 4000};

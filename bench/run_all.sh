@@ -12,7 +12,8 @@
 # Usage: bench/run_all.sh [--full] [build-dir]
 #   --full           run the complete 57-workload population (nightly CI;
 #                    not fig_multiprog, whose mixes are its population)
-#   BENCH_ARGS       args for every bench  (default: --windows 1 --scale 64)
+#   BENCH_ARGS       args for every bench  (default: --windows 1 --scale 64;
+#                    no --nrh, which the N_RH-sweep benches reject)
 #   OUT_DIR          where the JSON files land (default: repo root)
 
 set -euo pipefail
@@ -51,13 +52,12 @@ cleanup() {
 trap cleanup EXIT
 
 # The benches that run scenario grids and so emit ResultTable JSON.
-# micro_controller / micro_groundtruth / micro_core drive bare
-# components, and tab02 / tab03 are closed-form: none has JSON to give.
+# tab02 / tab03 are closed-form and have no JSON to give.
 SIM_BENCHES="fig01_motivation fig03_perf_attacks fig04_nrh_sensitivity \
 fig05_llc_sensitivity fig09_dapper_s_agnostic fig10_dapper_h_agnostic \
 fig11_dapper_h_benign fig12_nrh_sweep fig13_blast_radius fig14_blockhammer \
 fig15_probabilistic_benign fig16_probabilistic_attack fig17_prac \
-fig_multiprog ablation_dapper_h tab04_energy micro_scheduler"
+fig_multiprog ablation_dapper_h tab04_energy"
 
 mkdir -p "$JSON_DIR_TMP"
 {

@@ -17,9 +17,10 @@ main(int argc, char **argv)
 
     // The table is a fixed none-vs-DAPPER-H energy ratio per attack, so
     // filtering either dimension would break the ratios, and it reads
-    // raw per-run energy, so --seeds cannot apply.
-    const Options opt =
-        parse(argc, argv, kGridBench & ~kFilterFlags & ~kSeedsFlag);
+    // raw per-run energy, so --seeds cannot apply. It sweeps N_RH
+    // itself, so --nrh cannot either.
+    const Options opt = parse(
+        argc, argv, kGridBench & ~kFilterFlags & ~kSeedsFlag & ~kNrhFlag);
     printHeader("Table IV: energy overhead of DAPPER-H", makeConfig(opt));
 
     const std::vector<int> thresholds = {125, 250, 500, 1000, 2000, 4000};

@@ -18,9 +18,12 @@
 
 #include <cctype>
 #include <cinttypes>
+#include <climits>
+#include <cmath>
 #include <cstdio>
 #include <cstdlib>
 #include <cstring>
+#include <stdexcept>
 #include <string>
 #include <vector>
 
@@ -79,6 +82,25 @@ parseU64(const char *text, const char *what)
 }
 
 int
+parseInt(const char *text, const char *what)
+{
+    const std::uint64_t v = parseU64(text, what);
+    if (v > INT_MAX)
+        usage((std::string("bad ") + what + ": " + text).c_str());
+    return static_cast<int>(v);
+}
+
+double
+parseReal(const char *text, const char *what)
+{
+    char *end = nullptr;
+    const double v = std::strtod(text, &end);
+    if (end == text || *end != '\0' || !std::isfinite(v))
+        usage((std::string("bad ") + what + ": " + text).c_str());
+    return v;
+}
+
+int
 cmdCapture(int argc, char **argv)
 {
     if (argc < 2)
@@ -94,8 +116,7 @@ cmdCapture(int argc, char **argv)
         else if (std::strcmp(argv[i], "--seed") == 0)
             seed = parseU64(argValue(argc, argv, i), "--seed");
         else if (std::strcmp(argv[i], "--core") == 0)
-            core = static_cast<int>(
-                parseU64(argValue(argc, argv, i), "--core"));
+            core = parseInt(argValue(argc, argv, i), "--core");
         else
             usage("unknown capture flag");
     }
@@ -263,10 +284,8 @@ cmdReplay(int argc, char **argv)
     std::string tracker = "none";
     std::string attack = "none";
     std::string jsonPath;
-    int nRH = 500;
-    double scale = 16.0;
+    SysConfig cfg;
     int windows = 2;
-    std::uint64_t seed = SysConfig().seed;
     for (int i = 1; i < argc; ++i) {
         if (std::strcmp(argv[i], "--tracker") == 0)
             tracker = argValue(argc, argv, i);
@@ -275,20 +294,24 @@ cmdReplay(int argc, char **argv)
         else if (std::strcmp(argv[i], "--json") == 0)
             jsonPath = argValue(argc, argv, i);
         else if (std::strcmp(argv[i], "--nrh") == 0)
-            nRH = static_cast<int>(
-                parseU64(argValue(argc, argv, i), "--nrh"));
+            cfg.nRH = parseInt(argValue(argc, argv, i), "--nrh");
         else if (std::strcmp(argv[i], "--scale") == 0)
-            scale = std::atof(argValue(argc, argv, i));
+            cfg.timeScale = parseReal(argValue(argc, argv, i), "--scale");
         else if (std::strcmp(argv[i], "--windows") == 0)
-            windows = static_cast<int>(
-                parseU64(argValue(argc, argv, i), "--windows"));
+            windows = parseInt(argValue(argc, argv, i), "--windows");
         else if (std::strcmp(argv[i], "--seed") == 0)
-            seed = parseU64(argValue(argc, argv, i), "--seed");
+            cfg.seed = parseU64(argValue(argc, argv, i), "--seed");
         else
             usage("unknown replay flag");
     }
-    if (nRH < 1 || scale <= 0.0 || windows < 1)
-        usage("--nrh >= 1, --scale > 0, --windows >= 1");
+    if (windows < 1)
+        usage("--windows must be >= 1");
+    // --nrh and --scale within the simulator's own bounds.
+    try {
+        cfg.validate();
+    } catch (const std::invalid_argument &e) {
+        usage((std::string("--nrh / --scale: ") + e.what()).c_str());
+    }
 
     // A registered workload name replays as-is; anything else is taken
     // as a DTR path and registered ad hoc (absolutized, so a CWD-
@@ -309,10 +332,6 @@ cmdReplay(int argc, char **argv)
         workload = WorkloadRegistry::instance().ensureTrace(path).name;
     }
 
-    SysConfig cfg;
-    cfg.nRH = nRH;
-    cfg.timeScale = scale;
-    cfg.seed = seed;
     Scenario scenario = Scenario()
                             .config(cfg)
                             .workload(workload)

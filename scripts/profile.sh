@@ -9,8 +9,8 @@
 #                                                 file flamegraph.pl or
 #                                                 speedscope can render)
 #
-#   e.g. scripts/profile.sh micro_scheduler --windows 1 --jobs 1
-#        scripts/profile.sh --perf micro_core --jobs 1
+#   e.g. scripts/profile.sh fig14_blockhammer --windows 1 --jobs 1
+#        scripts/profile.sh --perf fig03_perf_attacks --windows 1 --jobs 1
 #
 #   Benches run the event engine only; the per-tick oracle
 #   (tests/oracle/) runs inside test binaries, e.g.
@@ -29,13 +29,11 @@
 #     default container image ships no perf, so the mode probes for it
 #     and exits with a clear message instead of half-running.
 #
-# Honest-comparison rule (for the before/after tables in
-# src/mem/README.md): numbers from different days, machines, or build
-# dirs are not comparable. Time both sides in ONE session, interleaved
-# (A B A B ...), from freshly built binaries of each revision, and
-# report medians (bench binaries take --repeat N). The same applies to
-# profiles: a flamegraph from last week's container says nothing about
-# today's diff.
+# Honest-comparison rule: numbers from different days, machines, or
+# build dirs are not comparable. Time a change with
+# scripts/bench_pairs.sh, which builds both revisions' dapper-bench and
+# runs them as pinned concurrent pairs. The same applies to profiles: a
+# flamegraph from last week's container says nothing about today's diff.
 
 set -euo pipefail
 

@@ -43,7 +43,7 @@ SysConfig::validate() const
         throw std::invalid_argument("nRH too small");
     if (!isPow2(static_cast<std::uint64_t>(rowGroupSize)))
         throw std::invalid_argument("rowGroupSize must be a power of two");
-    if (timeScale < 1.0)
+    if (!(timeScale >= 1.0)) // Also rejects NaN.
         throw std::invalid_argument("timeScale must be >= 1");
     // The controller's completion FIFO relies on strictly increasing
     // completion ticks, which a burst of at least one tick guarantees.

@@ -103,7 +103,7 @@ RunResult runOnce(const SysConfig &cfg,
                   Tick horizon = 0);
 
 /** Convenience overload resolving @p attack and @p tracker by registry
- *  name (tests, micro benches). */
+ *  name (tests). */
 RunResult runOnce(const SysConfig &cfg, const std::string &workload,
                   const std::string &attack, const std::string &tracker,
                   Tick horizon = 0);

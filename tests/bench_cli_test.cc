@@ -4,8 +4,9 @@
  * resolution order and suitePopulation()'s trace rejection, --tracker /
  * --attack filtering against a bench's base scenario and crossed cell
  * lists, runGrid's innermost --seeds axis with the seedMeans()
- * reduction, and parse()'s rule that a flag a binary cannot honour
- * exits 2 instead of being ignored.
+ * reduction, and parse()'s rule that a flag a binary cannot honour,
+ * or a value the simulator cannot run, exits 2 instead of being
+ * ignored or crashing the bench.
  */
 
 #include <gtest/gtest.h>
@@ -207,39 +208,66 @@ TEST(BenchParse, AcceptedFlagsTakeEffect)
 {
     const Options opt =
         parseArgs({"--seeds", "3", "--fleet", "camp", "--shards", "2",
-                   "--workload", "456.hmmer", "--full"},
+                   "--workload", "456.hmmer", "--full", "--nrh", "250"},
                   kGridBench);
     EXPECT_EQ(opt.seeds, 3);
     EXPECT_EQ(opt.fleetDir, "camp");
     EXPECT_EQ(opt.shards, 2);
     EXPECT_EQ(opt.workloadFilter, "456.hmmer");
     EXPECT_TRUE(opt.full);
+    EXPECT_EQ(opt.nRH, 250);
 }
 
 TEST(BenchParse, ComponentBenchRejectsGridFlags)
 {
-    EXPECT_EXIT(parseArgs({"--json", "x.json"}, kComponentBench),
-                ExitedWithCode(2), "--json is not supported");
-    EXPECT_EXIT(parseArgs({"--fleet", "camp"}, kComponentBench),
-                ExitedWithCode(2), "--fleet is not supported");
-    EXPECT_EXIT(parseArgs({"--seeds", "4"}, kComponentBench),
-                ExitedWithCode(2), "--seeds is not supported");
-    // The config flags still parse.
-    EXPECT_EQ(parseArgs({"--nrh", "250"}, kComponentBench).nRH, 250);
+    // tab02 / tab03 are closed-form and honour no flag at all.
+    EXPECT_EXIT(parseArgs({"--json", "x.json"}, 0), ExitedWithCode(2),
+                "--json is not supported");
+    EXPECT_EXIT(parseArgs({"--fleet", "camp"}, 0), ExitedWithCode(2),
+                "--fleet is not supported");
+    // tab04 prints raw per-run energy, so it rejects --seeds; the
+    // config flags it does honour still parse.
+    const unsigned tab04 =
+        kGridBench & ~kFilterFlags & ~kSeedsFlag & ~kNrhFlag;
+    EXPECT_EXIT(parseArgs({"--seeds", "4"}, tab04), ExitedWithCode(2),
+                "--seeds is not supported");
+    EXPECT_EQ(parseArgs({"--windows", "3"}, tab04).windows, 3);
 }
 
 TEST(BenchParse, EveryUnhonouredFlagExitsTwo)
 {
     EXPECT_EXIT(parseArgs({"--repeat", "3"}, kGridBench),
-                ExitedWithCode(2), "--repeat is not supported");
+                ExitedWithCode(2), "unknown flag --repeat");
     EXPECT_EXIT(parseArgs({"--full"}, kGridBench & ~kFullFlag),
                 ExitedWithCode(2), "--full is not supported");
     EXPECT_EXIT(parseArgs({"--seeds", "1"}, kGridBench & ~kSeedsFlag),
                 ExitedWithCode(2), "--seeds is not supported");
     EXPECT_EXIT(parseArgs({"--scale", "4"}, 0), ExitedWithCode(2),
                 "--scale is not supported");
-    EXPECT_EXIT(parseArgs({"--bogus"}, kAllFlags), ExitedWithCode(2),
+    // fig04, fig12-fig17 and tab04 set N_RH per cell (grid.nRH), which
+    // would override the flag.
+    EXPECT_EXIT(parseArgs({"--nrh", "250"}, kGridBench & ~kNrhFlag),
+                ExitedWithCode(2), "--nrh is not supported");
+    EXPECT_EXIT(parseArgs({"--bogus"}, kGridBench), ExitedWithCode(2),
                 "unknown flag --bogus");
+}
+
+TEST(BenchParse, ValuesTheSimulatorRejectsExitTwo)
+{
+    // Below SysConfig::validate's bounds (timeScale >= 1, nRH >= 4).
+    EXPECT_EXIT(parseArgs({"--scale", "0.5"}, kGridBench),
+                ExitedWithCode(2), "timeScale must be >= 1");
+    EXPECT_EXIT(parseArgs({"--nrh", "2"}, kGridBench), ExitedWithCode(2),
+                "nRH too small");
+    // A value must be one whole, finite number.
+    EXPECT_EXIT(parseArgs({"--scale", "nan"}, kGridBench),
+                ExitedWithCode(2), "--scale: not a finite number: nan");
+    EXPECT_EXIT(parseArgs({"--nrh", "250x"}, kGridBench),
+                ExitedWithCode(2), "--nrh: not an integer >= 1: 250x");
+    EXPECT_EXIT(parseArgs({"--windows", ""}, kGridBench),
+                ExitedWithCode(2), "--windows: not an integer >= 1");
+    EXPECT_EQ(parseArgs({"--scale", "1"}, kGridBench).timeScale, 1.0);
+    EXPECT_EQ(parseArgs({"--nrh", "4"}, kGridBench).nRH, 4);
 }
 
 } // namespace

@@ -6,6 +6,8 @@
 
 #include <gtest/gtest.h>
 
+#include <cmath>
+
 #include "src/common/config.hh"
 
 namespace dapper {
@@ -82,6 +84,11 @@ TEST(Config, ValidationRejectsBadGeometry)
 
     cfg = SysConfig{};
     cfg.timeScale = 0.5;
+    EXPECT_THROW(cfg.validate(), std::invalid_argument);
+
+    // NaN fails every comparison, so a `timeScale < 1` test let it by.
+    cfg = SysConfig{};
+    cfg.timeScale = std::nan("");
     EXPECT_THROW(cfg.validate(), std::invalid_argument);
 
     cfg = SysConfig{};

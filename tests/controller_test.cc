@@ -576,11 +576,11 @@ TEST(ControllerEngineContractTest, EventVisitsMatchEveryTickShortMitigations)
 }
 
 /**
- * micro_controller's closed-loop load: every completion is replaced, so
- * the read queue holds its depth, and request n goes to bank n mod 64
- * (both ranks). Rows repeat for 8 visits to a bank (hit-friendly) or
- * never (miss-heavy). From depth 48 on this fills the 48-entry FR-FCFS
- * scan window, which the random stress above rarely does.
+ * A closed-loop load: every completion is replaced, so the read queue
+ * holds its depth, and request n goes to bank n mod 64 (both ranks).
+ * Rows repeat for 8 visits to a bank (hit-friendly) or never
+ * (miss-heavy). From depth 48 on this fills the 48-entry FR-FCFS scan
+ * window, which the random stress above rarely does.
  */
 struct RoundRobinLoad : CaptureSink
 {

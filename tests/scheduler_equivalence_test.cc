@@ -12,14 +12,15 @@
  * Coverage: trackers with counter traffic (Hydra), LLC way reservation
  * (START), mitigation bursts (DAPPER-H), plus the unprotected system,
  * against no attack, a streaming attack, and a refresh-exploiting
- * attack; and the fig03, fig14 and micro_core grids plus a
- * resource-stalled cell at timeScale 1024.
+ * attack; and the fig03 and fig14 grids, the core's bubble-spectrum
+ * cells and a resource-stalled cell at timeScale 1024.
  */
 
 #include <gtest/gtest.h>
 
 #include <set>
 #include <string>
+#include <utility>
 #include <vector>
 
 #include "bench/bench_util.hh"
@@ -128,12 +129,18 @@ TEST(SchedulerEquivalenceComputeBound, EventMatchesTickExactly)
                        200000);
 }
 
-/** Ultra-low threshold: dense throttling / mitigation blocking. */
+/** Ultra-low threshold: dense throttling / mitigation blocking, and
+ *  CoMeT's RAT under its tailored attack (the one cell of this kind no
+ *  figure bench runs). */
 TEST(SchedulerEquivalenceLowThreshold, EventMatchesTickExactly)
 {
     SysConfig cfg = smallCfg();
     cfg.nRH = 125;
-    expectEnginesAgree(cfg, {"429.mcf"}, "none", "blockhammer", 250000);
+    for (const auto &[tracker, attack] :
+         {std::pair{"blockhammer", "none"}, std::pair{"comet", "comet-rat"}}) {
+        SCOPED_TRACE(tracker);
+        expectEnginesAgree(cfg, {"429.mcf"}, attack, tracker, 250000);
+    }
 }
 
 /** DTR trace replay must be engine-invariant like every generator: the
@@ -227,8 +234,9 @@ TEST(SchedulerEquivalenceScaled, Fig14GridMatchesCellByCell)
     expectGridAgrees(grid);
 }
 
-/** micro_core: the bubble spectrum of the batched-retire path,
- *  tracker- and attacker-free. */
+/** The bubble spectrum of the batched-retire path (src/cpu/README.md):
+ *  compute-bound, moderate and memory-bound, tracker- and
+ *  attacker-free. */
 TEST(SchedulerEquivalenceScaled, MicroCoreCellsMatch)
 {
     ScenarioGrid grid(scaled(2));
